@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json golden chaos chaos-scale chaos-churn soak lint
+.PHONY: check build vet test race bench bench-json golden chaos chaos-scale chaos-churn soak lint castbench-smoke
 
 # check is the CI entry point: vet, build, full test suite, bench smoke run.
 check: vet build test bench
@@ -18,6 +18,21 @@ lint:
 	$(GO) vet -tags morpheus_portable ./...
 	$(GO) run ./tools/morpheuslint ./...
 	$(GO) run ./tools/morpheuslint -tags morpheus_portable ./...
+
+# castbench-smoke runs the cast benchmark's own checks. castbench is a
+# nested module (castbench/go.mod), so `go test ./...` and `make lint` at
+# the root never descend into it. The target runs its unit tests, lints
+# it, and runs every workload BENCHMARK.json gates for 2 s with tracing
+# on; castbench exits non-zero when its delivery checker finds a lost,
+# duplicated, reordered or corrupted cast.
+CASTBENCH_WORKLOADS ?= flood-udp pingpong-udp
+castbench-smoke:
+	cd castbench && $(GO) test ./...
+	$(GO) run ./tools/morpheuslint -dir castbench ./...
+	@for w in $(CASTBENCH_WORKLOADS); do \
+		echo "castbench-smoke: $$w"; \
+		bash castbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 > /dev/null || exit 1; \
+	done
 
 build:
 	$(GO) build ./...

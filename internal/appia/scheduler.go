@@ -77,6 +77,10 @@ type Scheduler struct {
 	drained   chan struct{}
 	drainOnce sync.Once
 
+	// idle runs on the executor each time a batch leaves the mailbox
+	// empty, just before the scheduler parks (SetIdleHook). Guarded by mu.
+	idle func()
+
 	timerMu sync.Mutex
 	timers  map[*schedTimer]struct{}
 
@@ -265,6 +269,22 @@ func (s *Scheduler) post(t task) error {
 	return nil
 }
 
+// SetIdleHook installs fn as the scheduler's idle hook, replacing any
+// previous one (nil removes it). The scheduler's owner sets it once,
+// typically before the first post. The hook runs on the executor — the
+// dedicated goroutine or the owning pool worker — whenever a batch leaves
+// the mailbox empty, just before the scheduler parks: outside the
+// scheduler's lock and, under a virtual clock, while the run token is
+// still held. The mailbox is re-checked afterwards, so work the hook (or
+// a concurrent poster) adds is dispatched before the park, followed by
+// the hook again. morpheus uses it to flush the wire plane the moment a
+// protocol stack has nothing more to send.
+func (s *Scheduler) SetIdleHook(fn func()) {
+	s.mu.Lock()
+	s.idle = fn
+	s.mu.Unlock()
+}
+
 // Do runs fn on the scheduler goroutine. It is the bridge for application
 // and network code that must touch session state safely.
 func (s *Scheduler) Do(fn func()) error {
@@ -343,12 +363,21 @@ func (s *Scheduler) run() {
 	defer s.wg.Done()
 	defer s.releaseToken()
 	var batch []task
+	dispatched := false // a batch ran since the last idle hook
 	for {
 		s.mu.Lock()
 		if s.admitGate != nil && s.depth.Load() <= int64(s.boundLow) {
 			// Drained below the low watermark: readmit external producers.
 			close(s.admitGate)
 			s.admitGate = nil
+		}
+		if idle := s.idle; dispatched && idle != nil && len(s.queue) == 0 {
+			// Out of work: run the idle hook before parking (and before
+			// the token release below), then re-check the mailbox.
+			dispatched = false
+			s.mu.Unlock()
+			idle()
+			continue
 		}
 		for len(s.queue) == 0 && !s.closed {
 			s.waiting = true
@@ -387,6 +416,7 @@ func (s *Scheduler) run() {
 		}
 		s.depth.Add(int64(-len(batch)))
 		clear(batch) // release the events for the GC in one bulk write
+		dispatched = true
 	}
 }
 
@@ -402,6 +432,7 @@ func (s *Scheduler) drain() {
 	var batch []task
 	for {
 		s.mu.Lock()
+		dispatched := batch != nil
 		if batch != nil {
 			s.spare = batch[:0]
 			batch = nil
@@ -409,6 +440,13 @@ func (s *Scheduler) drain() {
 		if s.admitGate != nil && s.depth.Load() <= int64(s.boundLow) {
 			close(s.admitGate)
 			s.admitGate = nil
+		}
+		if idle := s.idle; dispatched && idle != nil && len(s.queue) == 0 {
+			// As in run: the idle hook runs with the token still held,
+			// then the mailbox is re-checked.
+			s.mu.Unlock()
+			idle()
+			continue
 		}
 		if len(s.queue) == 0 {
 			s.releaseToken()

@@ -32,6 +32,11 @@ type Harness struct {
 	// Synchronous reports that deliveries complete before Send returns;
 	// asynchronous backends get a settle window instead.
 	Synchronous bool
+	// NewFlushOnly, when set, builds a network like New whose wire plane
+	// holds frames until a size seal, Flush or Close (udpnet with
+	// WireFlushDelay: time.Hour). The Flush subtest runs on it; nil means
+	// New, for backends that deliver eagerly.
+	NewFlushOnly func(t *testing.T) netio.Network
 }
 
 // recorder collects deliveries on one endpoint port.
@@ -114,6 +119,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run("FrameTooLarge", func(t *testing.T) { testFrameTooLarge(t, h) })
 	t.Run("OrderedBurst", func(t *testing.T) { testOrderedBurst(t, h) })
 	t.Run("WireAccounting", func(t *testing.T) { testWireAccounting(t, h) })
+	t.Run("Flush", func(t *testing.T) { testFlush(t, h) })
 	t.Run("ConcurrentClose", func(t *testing.T) { testConcurrentClose(t, h) })
 	t.Run("AttachAfterNetworkClose", func(t *testing.T) { testAttachAfterClose(t, h) })
 }
@@ -385,11 +391,6 @@ func testFrameTooLarge(t *testing.T, h Harness) {
 	}
 }
 
-// flusher is implemented by endpoints that coalesce frames (udpnet with
-// batching enabled); backends without a wire plane deliver eagerly and
-// need no flush.
-type flusher interface{ Flush() }
-
 // testOrderedBurst pins per-destination FIFO through whatever batching
 // the backend applies: a burst of frames to one peer — small enough to
 // share a coalesced datagram and numerous enough to span several — must
@@ -407,9 +408,7 @@ func testOrderedBurst(t *testing.T, h Harness) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if f, ok := a.(flusher); ok {
-		f.Flush()
-	}
+	a.Flush()
 	got := rec.waitCount(t, n)
 	for i := 0; i < n; i++ {
 		if want := fmt.Sprintf("seq-%04d", i); got[i].payload != want {
@@ -436,9 +435,7 @@ func testWireAccounting(t *testing.T, h Harness) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if f, ok := a.(flusher); ok {
-		f.Flush()
-	}
+	a.Flush()
 	rec.waitCount(t, n)
 
 	ac, bc := a.Counters(), b.Counters()
@@ -464,6 +461,54 @@ func testWireAccounting(t *testing.T, h Harness) {
 	if c := a.Counters(); c.TxDatagrams != 0 || c.TxWireBytes != 0 || c.TxSyscalls != 0 {
 		t.Fatalf("ResetCounters left wire counters: %+v", c)
 	}
+}
+
+// testFlush pins the Flush contract: it returns promptly — it never waits
+// out a delay bound or another goroutine's transmission — and every frame
+// accepted before it reaches the receiver even when the backend's delay
+// bound would hold it for an hour. Flush on an idle or closed endpoint is
+// a harmless no-op.
+func testFlush(t *testing.T, h Harness) {
+	newNet := h.NewFlushOnly
+	if newNet == nil {
+		newNet = h.New
+	}
+	nw := newNet(t)
+	defer nw.Close()
+	a, b := attach(t, nw, h, 1), attach(t, nw, h, 2)
+	rec := newRecorder()
+	b.Handle("p", rec.handler)
+
+	a.Flush() // nothing pending
+	if err := a.Send(2, "p", "data", []byte("unicast")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	want := []string{"unicast"}
+	if h.Multicast {
+		if err := a.Multicast(h.Segment, "p", "data", []byte("multicast")); err != nil {
+			t.Fatalf("multicast: %v", err)
+		}
+		want = append(want, "multicast")
+	}
+	start := time.Now() //lint:wallclock-ok times a real-socket call
+	a.Flush()
+	if took := time.Since(start); took > time.Second { //lint:wallclock-ok times a real-socket call
+		t.Fatalf("Flush took %v", took)
+	}
+	got := rec.waitCount(t, len(want))
+	seen := make(map[string]bool, len(got))
+	for _, r := range got {
+		seen[r.payload] = true
+	}
+	for _, w := range want {
+		if !seen[w] {
+			t.Fatalf("frame %q sent before Flush never arrived; got %+v", w, got)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	a.Flush() // closed
 }
 
 // testConcurrentClose hammers Send from several goroutines while the

@@ -140,6 +140,10 @@ func (e *Endpoint) Counters() netio.Counters { return e.counters.Snapshot() }
 // ResetCounters implements netio.Endpoint.
 func (e *Endpoint) ResetCounters() { e.counters.Reset() }
 
+// Flush implements netio.Endpoint: a no-op, since Send delivers
+// synchronously.
+func (e *Endpoint) Flush() {}
+
 // Close implements netio.Endpoint.
 func (e *Endpoint) Close() error {
 	if e.closed.Swap(true) {

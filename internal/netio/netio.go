@@ -111,6 +111,14 @@ type Endpoint interface {
 	// Multicast performs a native multicast on the named segment: one
 	// accounted transmission, delivered to every other attached endpoint.
 	Multicast(segment, port, class string, payload []byte) error
+	// Flush hands every frame accepted so far to the substrate. It never
+	// waits on another goroutine's transmission: a backend that batches
+	// (udpnet's coalescer) seals what is open and either transmits it or
+	// leaves it to the drainer already at work. Backends that deliver
+	// eagerly implement it as a no-op. Protocol stacks call it when their
+	// scheduler runs out of work, so a lone frame does not wait for a
+	// delay-bound timer.
+	Flush()
 	// Counters snapshots the endpoint's traffic, keyed by class.
 	Counters() Counters
 	// ResetCounters zeroes the traffic counters (between experiment

@@ -41,8 +41,6 @@ func benchNet(b *testing.B, mtu int) (a, peer netio.Endpoint) {
 	return a, peer
 }
 
-type flushEndpoint interface{ Flush() }
-
 // BenchmarkUdpnetThroughput measures the send-path cost of a sustained
 // stream of small casts — the reliable layer's data pattern — and reports
 // how many datagrams and syscalls each cast actually cost.
@@ -66,9 +64,7 @@ func BenchmarkUdpnetThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if f, ok := a.(flushEndpoint); ok {
-				f.Flush()
-			}
+			a.Flush()
 			b.StopTimer()
 			c := a.Counters()
 			b.ReportMetric(float64(c.TxDatagrams)/float64(b.N), "datagrams/op")
@@ -96,9 +92,7 @@ func BenchmarkUdpnetLatency(b *testing.B) {
 				if err := peer.Send(src, "resp", "data", payload); err != nil {
 					return
 				}
-				if f, ok := peer.(flushEndpoint); ok {
-					f.Flush()
-				}
+				peer.Flush()
 			})
 			a.Handle("resp", func(netio.NodeID, string, []byte) {
 				select {
@@ -113,9 +107,7 @@ func BenchmarkUdpnetLatency(b *testing.B) {
 				if err := a.Send(2, "req", "data", payload); err != nil {
 					b.Fatal(err)
 				}
-				if f, ok := a.(flushEndpoint); ok {
-					f.Flush()
-				}
+				a.Flush()
 				select {
 				case <-done:
 				case <-time.After(5 * time.Second):

@@ -12,10 +12,23 @@
 //
 // The wire plane batches: frames bound for the same destination (peer or
 // multicast group) are coalesced into container datagrams under an MTU
-// budget (Config.WireMTU) and flushed by size, by an explicit Flush, or by
-// a clock-armed delay bound (Config.WireFlushDelay); sealed datagrams are
-// drained with vectored sendmmsg/recvmmsg syscalls where the platform has
-// them (see wire.go and the mmsg_* files). Two wire formats coexist:
+// budget (Config.WireMTU). An open datagram is flushed, in order of
+// precedence:
+//
+//  1. by size, when the next frame would overflow the MTU;
+//  2. at scheduler idle, when the protocol stack that produced it runs out
+//     of work and calls Flush just before its scheduler parks (morpheus
+//     installs that hook on every scheduler of a node);
+//  3. by the delay bound (Config.WireFlushDelay), for a stack too busy to
+//     park and for senders outside any scheduler;
+//  4. by an explicit Flush, or by Close.
+//
+// The idle flush is what keeps a lone frame off the timer: a wall-clock
+// AfterFunc of 200 µs fires after about 1.1 ms once every P is idle,
+// because the Go netpoller then sleeps in whole milliseconds. Sealed
+// datagrams are drained with vectored sendmmsg/recvmmsg syscalls where the
+// platform has them (see wire.go and the mmsg_* files). Two wire formats
+// coexist:
 //
 //	v1 single frame (legacy, and the oversize bypass):
 //	  magic 'M' | version 1 | src NodeID (int32, big endian) |
@@ -62,7 +75,8 @@ const (
 	// container datagram never fragments on a LAN.
 	DefaultWireMTU = 1400
 	// DefaultWireFlushDelay bounds how long a coalesced frame may wait
-	// for companions before the clock flushes it.
+	// for companions before the clock flushes it, when no idle or explicit
+	// Flush comes first.
 	DefaultWireFlushDelay = 200 * time.Microsecond
 )
 
@@ -83,9 +97,14 @@ type Config struct {
 	// path (the benchmark baseline). Positive values below 128 are
 	// rejected — no frame would fit.
 	WireMTU int
-	// WireFlushDelay bounds the latency coalescing may add: the first
-	// frame into an empty coalescer arms a timer, and whatever has packed
-	// by the time it fires is flushed. 0 means DefaultWireFlushDelay;
+	// WireFlushDelay bounds the latency coalescing may add when nothing
+	// else flushes: the first frame into an empty coalescer arms a timer,
+	// and whatever has packed by the time it fires is flushed. A stack
+	// that goes idle flushes long before (Endpoint.Flush from its
+	// scheduler's idle hook), so the bound only governs a scheduler that
+	// never parks under sustained load and senders outside any scheduler.
+	// Note that the wall clock rounds a sub-millisecond timer up to about
+	// 1 ms on an otherwise idle process. 0 means DefaultWireFlushDelay;
 	// negative flushes every Send immediately (no added latency, packing
 	// only across the frames already queued by concurrent senders).
 	WireFlushDelay time.Duration
@@ -352,9 +371,12 @@ func (e *Endpoint) LocalAddr() *net.UDPAddr {
 	return la
 }
 
-// Flush seals and transmits every coalesced frame still waiting for the
-// delay-bound timer. A nil error only means the datagrams were handed to
-// the kernel. No-op on an unbatched endpoint.
+// Flush implements netio.Endpoint: every coalesced frame still waiting
+// for a companion is sealed and either transmitted on the caller's
+// goroutine or, when another goroutine is already draining, left in the
+// sealed FIFO that drainer sweeps next. Flush never waits on another
+// goroutine's transmission, so a scheduler can call it on every park
+// without stalling behind a busy wire. No-op on an unbatched endpoint.
 func (e *Endpoint) Flush() {
 	if e.wire != nil {
 		e.wire.Flush()

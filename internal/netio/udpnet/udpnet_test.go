@@ -16,6 +16,12 @@ import (
 // ports for node IDs 1..9 and (when groupAddr is non-empty) one multicast
 // segment.
 func newHarnessNetwork(t *testing.T, groupAddr string) netio.Network {
+	return newHarnessNetworkDelay(t, groupAddr, 0)
+}
+
+// newHarnessNetworkDelay is newHarnessNetwork with an explicit
+// WireFlushDelay.
+func newHarnessNetworkDelay(t *testing.T, groupAddr string, delay time.Duration) netio.Network {
 	t.Helper()
 	peers := make(map[netio.NodeID]string)
 	for id := netio.NodeID(1); id <= 9; id++ {
@@ -25,7 +31,7 @@ func newHarnessNetwork(t *testing.T, groupAddr string) netio.Network {
 	if groupAddr != "" {
 		groups["conf"] = groupAddr
 	}
-	nw, err := udpnet.New(udpnet.Config{Peers: peers, Groups: groups, Logf: t.Logf})
+	nw, err := udpnet.New(udpnet.Config{Peers: peers, Groups: groups, WireFlushDelay: delay, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +87,10 @@ func TestNetioConformance(t *testing.T) {
 	groupAddr := net.JoinHostPort("239.77.9.7", strconv.Itoa(freeUDPPort(t)))
 	mcast := probeMulticast(t, groupAddr)
 	conformancetest.Run(t, conformancetest.Harness{
-		New:       func(t *testing.T) netio.Network { return newHarnessNetwork(t, groupAddr) },
+		New: func(t *testing.T) netio.Network { return newHarnessNetwork(t, groupAddr) },
+		NewFlushOnly: func(t *testing.T) netio.Network {
+			return newHarnessNetworkDelay(t, groupAddr, time.Hour)
+		},
 		Segment:   "conf",
 		Multicast: mcast,
 	})

@@ -43,9 +43,16 @@ var dgramPool = sync.Pool{New: func() any { return new(dgram) }}
 //
 // Flush policy, in priority order:
 //   - size: an entry that would overflow the open datagram seals it;
-//   - delay: the first frame into an idle coalescer arms a clock timer
+//   - scheduler idle: the stack's scheduler calls Flush when its mailbox
+//     empties, sealing everything open;
+//   - delay: the first frame into an empty coalescer arms a clock timer
 //     (the delay bound on added latency) that seals everything open;
-//   - explicit: Flush seals everything open and waits for the wire.
+//   - explicit/Close: Flush seals everything open; close additionally
+//     waits until the wire has taken it all.
+//
+// Only close waits for another goroutine's drain. Flush and the timer
+// drain themselves when no drainer is active and otherwise leave their
+// sealed datagrams to the active one, whose loop picks them up.
 type coalescer struct {
 	ep    *Endpoint
 	mtu   int
@@ -189,18 +196,26 @@ func (c *coalescer) flushTimer() {
 		c.mu.Unlock()
 		return
 	}
-	c.sealAllLocked()
-	c.mu.Unlock()
-	c.drain(true)
+	c.flushLocked()
 }
 
-// Flush seals everything open and does not return until every datagram
-// sealed so far has been handed to the kernel.
+// Flush seals everything open and hands it to the wire without waiting on
+// another goroutine's transmission.
 func (c *coalescer) Flush() {
 	c.mu.Lock()
+	c.flushLocked()
+}
+
+// flushLocked seals everything open, releases mu, and drains unless a
+// drainer is already active — that drainer's loop sweeps the newly
+// sealed datagrams before it lets go.
+func (c *coalescer) flushLocked() {
 	c.sealAllLocked()
+	drain := len(c.ready) > 0 && !c.draining
 	c.mu.Unlock()
-	c.drain(true)
+	if drain {
+		c.drain(false)
+	}
 }
 
 // close seals and drains outstanding datagrams, then refuses further
@@ -220,7 +235,7 @@ func (c *coalescer) close() {
 // drain transmits sealed datagrams. At most one goroutine drains at a
 // time; if another drainer is active, drain returns immediately unless
 // wait is set, in which case it blocks until the FIFO is empty and no
-// drainer is running (the Flush/Close/timer contract).
+// drainer is running (the close contract).
 func (c *coalescer) drain(wait bool) {
 	c.mu.Lock()
 	for {

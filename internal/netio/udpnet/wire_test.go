@@ -51,6 +51,12 @@ func (r *recorder) handle(_ netio.NodeID, _ string, payload []byte) {
 	r.mu.Unlock()
 }
 
+func (r *recorder) len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.msgs)
+}
+
 func (r *recorder) snapshot() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -92,8 +98,7 @@ func TestWirePackingAtMTUBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type flusher interface{ Flush() }
-	a.(flusher).Flush()
+	a.Flush()
 	got := waitMsgs(t, rec, 8)
 	for i := range want {
 		if got[i] != want[i] {
@@ -174,8 +179,7 @@ func TestWireOversizeBypass(t *testing.T) {
 	if err := a.Send(2, "p", "data", []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	type flusher interface{ Flush() }
-	a.(flusher).Flush()
+	a.Flush()
 	got := waitMsgs(t, rec, 3)
 	if got[0] != "before" || got[1] != string(big) || got[2] != "after" {
 		t.Fatalf("order broken around oversize bypass: lengths %d,%d,%d", len(got[0]), len(got[1]), len(got[2]))
@@ -239,4 +243,67 @@ func TestWireFrameTooLarge(t *testing.T) {
 	if err := a.Send(2, "p", "data", make([]byte, netio.MaxPayload)); err != nil {
 		t.Fatalf("Send at MaxPayload: %v", err)
 	}
+}
+
+// TestWireFlushRacesActiveDrainer runs Flush in a tight loop against
+// senders whose size seals keep a drainer busy: no Flush call may block
+// behind that drainer, and every sender's frames must arrive exactly once
+// and in order.
+func TestWireFlushRacesActiveDrainer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("udpnet socket tests skipped in -short mode")
+	}
+	a, _, rec := wirePair(t, udpnet.Config{WireMTU: 256, WireFlushDelay: time.Hour})
+	const senders, perSender = 3, 2000
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				if err := a.Send(2, "p", "data", []byte(fmt.Sprintf("%d:%05d", s, i))); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+			}
+		}(s)
+	}
+	done := make(chan struct{})
+	var flushes int
+	var slowest time.Duration
+	go func() {
+		defer close(done)
+		for {
+			start := time.Now()
+			a.Flush()
+			if d := time.Since(start); d > slowest {
+				slowest = d
+			}
+			flushes++
+			if rec.len() >= senders*perSender {
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("frames stranded or Flush blocked: %d/%d received", rec.len(), senders*perSender)
+	}
+	if slowest > time.Second {
+		t.Fatalf("slowest Flush took %v", slowest)
+	}
+	next := make([]int, senders)
+	for _, m := range rec.snapshot() {
+		var s, i int
+		if _, err := fmt.Sscanf(m, "%d:%d", &s, &i); err != nil {
+			t.Fatalf("undecodable frame %q", m)
+		}
+		if i != next[s] {
+			t.Fatalf("sender %d: frame %d arrived when %d was due (lost or reordered)", s, i, next[s])
+		}
+		next[s]++
+	}
+	t.Logf("%d Flush calls, slowest %v", flushes, slowest)
 }

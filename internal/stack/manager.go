@@ -716,39 +716,39 @@ func (m *Manager) finishReconfig(ch *appia.Channel, doc *appiaxml.Document, conf
 	m.state.quiescentSeen = false // fresh channel, fresh lifecycle
 	buffered := m.state.buffered
 	m.state.buffered = nil
-	m.state.Unlock()
 
+	// Resubmit the buffered sends before the lock drops: a concurrent Send
+	// that observes the new channel must queue behind them, or it would
+	// overtake them and break per-origin FIFO. Insert only posts to the
+	// scheduler mailbox, so holding the lock across it cannot block.
+	var refund []heldSend
 	for _, hs := range buffered {
 		ev := &group.CastEvent{}
 		ev.Msg = appia.NewMessage(hs.payload)
 		// Credits held through the buffer transfer to the new stack's
-		// reliable layer; on an unwindowed stack they return here.
+		// reliable layer; on an unwindowed stack they return below.
 		ev.Windowed = (hs.credit || hs.bytes > 0) && windowed
 		if ev.Windowed {
 			ev.WindowBytes = hs.bytes
 		}
 		if err := ch.Insert(ev, appia.Down); err != nil {
 			m.cfg.logf("stack[%d]: resubmit buffered send: %v", m.cfg.Self, err)
-			m.releaseOne(hs)
+			refund = append(refund, hs)
 			continue
 		}
 		if (hs.credit || hs.bytes > 0) && !windowed {
-			m.releaseOne(hs)
+			refund = append(refund, hs)
 		}
 	}
+	m.state.Unlock()
+	// Credits go back after the lock drops, so the windows' locks never
+	// nest inside the state lock.
+	m.releaseHeld(refund)
 }
 
-// releaseOne returns one buffered send's credits.
-func (m *Manager) releaseOne(hs heldSend) {
-	if hs.credit {
-		m.win.Release(1)
-	}
-	if hs.bytes > 0 {
-		m.winB.Release(hs.bytes)
-	}
-}
-
-// releaseHeld returns the credits of discarded buffered sends.
+// releaseHeld returns the credits of buffered sends that no reliable
+// layer will release: discarded ones, and ones resubmitted onto a stack
+// without a stability plane.
 func (m *Manager) releaseHeld(held []heldSend) {
 	n, b := 0, 0
 	for _, hs := range held {

@@ -150,6 +150,10 @@ func (n *Node) ResetCounters() {
 	n.counters.Reset()
 }
 
+// Flush implements netio.Endpoint: a no-op, since the simulator hands
+// every frame to its delivery engine at Send time.
+func (n *Node) Flush() {}
+
 // primary returns the node's primary segment, or nil if detached. segments
 // is immutable after construction, so no lock is needed.
 func (n *Node) primary() *Segment {

@@ -427,6 +427,11 @@ func Start(cfg Config) (*Node, error) {
 		ctlSched: appia.NewSchedulerWithClock(cfg.Clock),
 		groups:   make(map[string]*Group),
 	}
+	// Every scheduler of the node flushes the wire plane when it runs out
+	// of work, so a lone frame leaves at once instead of waiting out the
+	// substrate's delay bound. One hook per scheduler, not per channel:
+	// channels come and go with every reconfiguration epoch.
+	n.ctlSched.SetIdleHook(ep.Flush)
 	if w := resolveWorkers(cfg.SchedulerWorkers); w != DedicatedSchedulers {
 		n.pool = appia.NewPool(w, cfg.Clock)
 	}
@@ -586,6 +591,7 @@ func (n *Node) buildGroupAt(name string, gc GroupConfig, doc *Document, configNa
 	} else {
 		g.sched = appia.NewSchedulerWithClock(n.cfg.Clock)
 	}
+	g.sched.SetIdleHook(n.endpoint.Flush)
 	g.manager = stack.NewManager(stack.ManagerConfig{
 		Node:            g.ep,
 		Self:            n.cfg.ID,
