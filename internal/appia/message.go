@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -35,11 +36,16 @@ var (
 // headroom is the initial front slack reserved for header pushes.
 const headroom = 64
 
-// Pooled-buffer size classes: fresh buffers start at minBufCap and buffers
-// larger than maxPooledCap are left to the GC rather than pinned in the pool.
+// Pooled-buffer size classes: power-of-two capacities from minBufCap up to
+// maxPooledCap, one pool per class. Most messages are never Released, so
+// the class a fresh buffer gets is what the allocator and the garbage
+// collector pay for on every cast; sizing it to the message keeps a fast
+// ping-pong from running a collection every few milliseconds. Buffers
+// larger than maxPooledCap are left to the GC rather than pinned in a pool.
 const (
-	minBufCap    = 2048
+	minBufCap    = 256
 	maxPooledCap = 64 << 10
+	bufClasses   = 9 // minBufCap << (bufClasses-1) == maxPooledCap
 )
 
 // msgBuf is a reference-counted backing store. refs counts the messages
@@ -50,25 +56,33 @@ type msgBuf struct {
 }
 
 var (
-	msgPool = sync.Pool{New: func() any { return new(Message) }}
-	bufPool = sync.Pool{New: func() any {
-		return &msgBuf{data: make([]byte, 0, minBufCap)}
-	}}
+	msgPool  = sync.Pool{New: func() any { return new(Message) }}
+	bufPools [bufClasses]sync.Pool
 )
+
+// bufClass returns the index of the smallest size class holding n bytes,
+// or bufClasses when n exceeds maxPooledCap.
+func bufClass(n int) int {
+	if n <= minBufCap {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - bits.Len(uint(minBufCap-1))
+}
 
 // getBuf returns an exclusively-owned buffer with len(data) == n.
 func getBuf(n int) *msgBuf {
-	sb := bufPool.Get().(*msgBuf)
-	sb.refs.Store(1)
-	if cap(sb.data) >= n {
-		sb.data = sb.data[:n]
+	k := bufClass(n)
+	if k >= bufClasses {
+		sb := &msgBuf{data: make([]byte, n)}
+		sb.refs.Store(1)
 		return sb
 	}
-	c := minBufCap
-	for c < n {
-		c <<= 1
+	sb, _ := bufPools[k].Get().(*msgBuf)
+	if sb == nil {
+		sb = &msgBuf{data: make([]byte, 0, minBufCap<<k)}
 	}
-	sb.data = make([]byte, n, c)
+	sb.refs.Store(1)
+	sb.data = sb.data[:n]
 	return sb
 }
 
@@ -77,11 +91,12 @@ func unref(sb *msgBuf) {
 	if sb.refs.Add(-1) != 0 {
 		return
 	}
-	if cap(sb.data) > maxPooledCap {
+	k := bufClass(cap(sb.data))
+	if k >= bufClasses {
 		return
 	}
 	sb.data = sb.data[:0]
-	bufPool.Put(sb)
+	bufPools[k].Put(sb)
 }
 
 // NewMessage returns a message whose payload is a copy of p.

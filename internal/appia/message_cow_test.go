@@ -143,3 +143,33 @@ func TestMessageReleaseLastOwnerKeepsData(t *testing.T) {
 	}
 	c.Release()
 }
+
+// TestMessageBufferSizeClasses pins the buffer sizing: every buffer up to
+// maxPooledCap comes from the smallest power-of-two class that holds it,
+// so a small message never carries a kilobyte-scale buffer, and a larger
+// one is allocated to size and never pooled.
+func TestMessageBufferSizeClasses(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 128, minBufCap, minBufCap + 1, 1088, 2048, 2049, maxPooledCap - 1, maxPooledCap} {
+		sb := getBuf(n)
+		k := bufClass(n)
+		if k >= bufClasses {
+			t.Fatalf("getBuf(%d): class %d beyond the pooled classes", n, k)
+		}
+		want := minBufCap << k
+		if len(sb.data) != n || cap(sb.data) != want {
+			t.Fatalf("getBuf(%d): len %d cap %d, want len %d cap %d", n, len(sb.data), cap(sb.data), n, want)
+		}
+		if n > minBufCap && want >= 2*n {
+			t.Fatalf("getBuf(%d): class cap %d is not the smallest that holds it", n, want)
+		}
+		unref(sb)
+	}
+	big := getBuf(maxPooledCap + 1)
+	if bufClass(maxPooledCap+1) != bufClasses || len(big.data) != maxPooledCap+1 {
+		t.Fatalf("oversize buffer: class %d len %d", bufClass(maxPooledCap+1), len(big.data))
+	}
+	unref(big)
+	if m := NewMessage(make([]byte, 64)); cap(m.sb.data) != minBufCap {
+		t.Fatalf("64-byte message backed by a %d-byte buffer, want %d", cap(m.sb.data), minBufCap)
+	}
+}
