@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json golden chaos chaos-scale chaos-churn soak lint castbench-smoke
+.PHONY: check build vet test race bench bench-json golden chaos chaos-scale chaos-churn soak lint castbench-smoke fuzz
 
 # check is the CI entry point: vet, build, full test suite, bench smoke run.
 check: vet build test bench
@@ -33,6 +33,17 @@ castbench-smoke:
 		echo "castbench-smoke: $$w"; \
 		bash castbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 > /dev/null || exit 1; \
 	done
+
+# fuzz runs each native fuzz target over a network-facing decoder for a
+# fixed short budget: transport frames through the event-kind registry,
+# and udpnet frame bodies. Each target checks that decoding never panics
+# and that whatever decodes re-encodes to the same bytes. A crasher is
+# written under the package's testdata/fuzz/ and then replays as a
+# regular test case in `go test`.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netio/udpnet -run '^$$' -fuzz '^FuzzParseBody$$' -fuzztime $(FUZZTIME)
 
 build:
 	$(GO) build ./...

@@ -125,7 +125,15 @@ func TestChannelRoutesOnlyToAcceptingLayers(t *testing.T) {
 	if err := ch.Insert(&baseEv{}, Up); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	// Scheduler.Flush waits only for the tasks queued before it, and each
+	// routing hop is a task of its own, so the traversal tests wait for
+	// the last hop instead. Here that is the delivery; ChannelInit,
+	// inserted first, has finished its own traversal by then.
+	waitFor(t, "delivery", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(delivered) >= 1
+	})
 
 	// ChannelInit visits everyone; baseEv visits only bottom and top.
 	wantBottom := []string{"bottom", "bottom"} // init + event
@@ -168,7 +176,11 @@ func TestChannelDownTraversalOrder(t *testing.T) {
 	if err := ch.Insert(&baseEv{}, Down); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	waitFor(t, "the last hop (l0)", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) >= 3
+	})
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -229,7 +241,11 @@ func TestSendFromStartsAdjacent(t *testing.T) {
 	if err := ch.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	waitFor(t, "the last hop (l0)", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) >= 1
+	})
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -283,11 +299,15 @@ func TestBounceRevisitsPath(t *testing.T) {
 	if err := ch.Insert(&baseEv{}, Up); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	want := []string{"l0", "l1", "l2", "l1", "l0"}
+	waitFor(t, "the last hop (l0 on the way back)", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) >= len(want)
+	})
 
 	mu.Lock()
 	defer mu.Unlock()
-	want := []string{"l0", "l1", "l2", "l1", "l0"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -333,7 +353,11 @@ func TestSharedSessionAcrossChannels(t *testing.T) {
 	if err := ch2.Insert(&baseEv{}, Up); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	waitFor(t, "both channels' hops", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return counts[ch1] >= 1 && counts[ch2] >= 1
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	if counts[ch1] != 1 || counts[ch2] != 1 {

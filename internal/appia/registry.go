@@ -79,6 +79,19 @@ func (r *EventKindRegistry) New(kind string) (Sendable, error) {
 	return f(), nil
 }
 
+// NewFromWire is New for a kind name still in its received bytes: the
+// lookup converts nothing to a string, so decoding a frame allocates only
+// the event itself.
+func (r *EventKindRegistry) NewFromWire(kind []byte) (Sendable, error) {
+	r.mu.RLock()
+	f, ok := r.byName[string(kind)]
+	r.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("appia: unknown event kind %q", kind)
+	}
+	return f(), nil
+}
+
 // Kinds returns the registered kind names in sorted order.
 func (r *EventKindRegistry) Kinds() []string {
 	r.mu.RLock()

@@ -44,6 +44,14 @@ func (e *SendableEvent) EnsureMsg() *Message {
 	return e.Msg
 }
 
+// ReleaseMsg releases the event's message (see Message.Release) and
+// detaches it. Only the last holder of the event may call it: a layer that
+// consumes the event, or one retiring a copy it cloned for itself.
+func (e *SendableEvent) ReleaseMsg() {
+	e.Msg.Release()
+	e.Msg = nil
+}
+
 // Sendable is implemented by every event embedding SendableEvent; it gives
 // layers typed access to the shared wire metadata without knowing the
 // concrete event type.

@@ -54,7 +54,7 @@ type fanoutSession struct {
 var _ appia.Session = (*fanoutSession)(nil)
 
 // Handle implements appia.Session. Downward unaddressed Sendables are
-// cloned once per remote member; everything else passes through.
+// copied once per remote member; everything else passes through.
 func (s *fanoutSession) Handle(ch *appia.Channel, ev appia.Event) {
 	switch e := ev.(type) {
 	case *ViewInstall:
@@ -75,14 +75,24 @@ func (s *fanoutSession) Handle(ch *appia.Channel, ev appia.Event) {
 	}
 }
 
-// spread unicasts one copy per remote member.
+// spread unicasts one copy per remote member. The event itself is
+// consumed here, so the last remote member gets it instead of a clone.
 func (s *fanoutSession) spread(ch *appia.Channel, e appia.Sendable) {
+	last := -1
+	for i, m := range s.members {
+		if m != s.cfg.Self {
+			last = i
+		}
+	}
 	sess := appia.Session(s)
-	for _, m := range s.members {
+	for i, m := range s.members {
 		if m == s.cfg.Self {
 			continue
 		}
-		cp := appia.CloneSendable(e)
+		cp := e
+		if i != last {
+			cp = appia.CloneSendable(e)
+		}
 		cp.SendableBase().Dest = m
 		if err := ch.SendFrom(sess, cp, appia.Down); err != nil {
 			return // channel tearing down

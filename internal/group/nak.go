@@ -147,13 +147,11 @@ func NewNakLayer(cfg NakConfig) *NakLayer {
 // NewSession implements appia.Layer.
 func (l *NakLayer) NewSession() appia.Session {
 	return &nakSession{
-		cfg:      l.cfg,
-		members:  l.cfg.InitialMembers,
-		recv:     make(map[appia.NodeID]*originState),
-		sent:     make(map[uint64]appia.Sendable),
-		peerVec:  make(map[appia.NodeID]DeliveredVector),
-		windowed: make(map[uint64]int),
-		nextSeq:  1,
+		cfg:     l.cfg,
+		members: l.cfg.InitialMembers,
+		recv:    make(map[appia.NodeID]*originState),
+		peerVec: make(map[appia.NodeID]DeliveredVector),
+		nextSeq: 1,
 	}
 }
 
@@ -183,14 +181,20 @@ func (s NakStats) Merge(o NakStats) NakStats {
 
 // originState tracks reception from one origin.
 type originState struct {
-	next      uint64 // next sequence number to deliver
-	known     uint64 // highest sequence known to exist (buffered or gossiped)
-	buffer    map[uint64]*CastEvent
-	events    map[uint64]appia.Event    // full events for re-forwarding
-	history   map[uint64]appia.Sendable // delivered casts kept for peers
+	next      uint64                  // next sequence number to deliver
+	known     uint64                  // highest sequence known to exist (buffered or gossiped)
+	buffer    map[uint64]heldCast     // reorder buffer: casts above a gap
+	history   seqRing[appia.Sendable] // delivered casts kept for peers
 	nackArmed bool
 	nackTries int
 	cancel    func()
+}
+
+// heldCast is a cast waiting in the reorder buffer: the event to forward
+// once the gap below it closes, and its wire-shaped copy for the history.
+type heldCast struct {
+	ev   appia.Sendable
+	wire appia.Sendable
 }
 
 // missing reports whether this origin has sequence numbers we still lack.
@@ -202,17 +206,17 @@ type nakSession struct {
 	cfg     NakConfig
 	members []appia.NodeID
 
-	nextSeq uint64                    // next sequence number for own casts
-	sent    map[uint64]appia.Sendable // retransmission buffer (own casts)
+	nextSeq uint64                  // next sequence number for own casts
+	sent    seqRing[appia.Sendable] // retransmission buffer (own casts)
 	recv    map[appia.NodeID]*originState
 	peerVec map[appia.NodeID]DeliveredVector // last stability vector per peer
 
 	// windowed tracks which of our own seqs hold send-window credits,
-	// independently of the sent map (an evicted sent entry must still
-	// release its credits when its stability watermark arrives). The value
-	// is the cast's byte-window cost (0 with byte windowing disabled);
-	// membership alone marks the message credit.
-	windowed map[uint64]int
+	// independently of sent (an evicted sent entry must still release its
+	// credits when its stability watermark arrives). The value is the
+	// cast's byte-window cost (0 with byte windowing disabled); presence
+	// alone marks the message credit.
+	windowed seqRing[int]
 
 	// Retention accounting: live totals (scheduler goroutine only) and
 	// atomic high-water marks readable from any goroutine.
@@ -253,7 +257,7 @@ func (s *nakSession) Handle(ch *appia.Channel, ev appia.Event) {
 	// subtypes...) must take the cast path regardless of concrete type; a
 	// type switch alone cannot express that.
 	if c, ok := ev.(Caster); ok {
-		s.processCast(ch, c.CastBase(), ev)
+		s.processCast(ch, c)
 		return
 	}
 	switch e := ev.(type) {
@@ -298,16 +302,17 @@ func (s *nakSession) Handle(ch *appia.Channel, ev appia.Event) {
 	}
 }
 
-func (s *nakSession) processCast(ch *appia.Channel, base *CastEvent, ev appia.Event) {
-	if base.Dir() == appia.Down {
-		s.sendCast(ch, base, ev)
+func (s *nakSession) processCast(ch *appia.Channel, ev Caster) {
+	if ev.CastBase().Dir() == appia.Down {
+		s.sendCast(ch, ev)
 		return
 	}
-	s.receiveCast(ch, base, ev)
+	s.receiveCast(ch, ev)
 }
 
 // sendCast stamps, stores, self-delivers and spreads an outgoing cast.
-func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event) {
+func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
+	base := ev.CastBase()
 	if base.Dest != appia.NoNode {
 		// Addressed cast (a retransmission we produced below, or targeted
 		// control): pass through untouched.
@@ -331,23 +336,18 @@ func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event
 	m.PushUvarint(seq)
 	m.PushUvarint(uint64(uint32(s.cfg.Self)))
 
-	sendable, ok := ev.(appia.Sendable)
-	if !ok {
-		// Unreachable: anything embedding CastEvent is Sendable.
-		return
-	}
 	// Retransmission buffer keeps a full clone, preserving the concrete
 	// type so a retransmitted Propose still decodes as a Propose.
-	s.sent[seq] = appia.CloneSendable(sendable)
+	s.sent.push(seq, appia.CloneSendable(ev))
 	if base.Windowed && (s.cfg.Window != nil || s.cfg.BytesWindow != nil) {
-		s.windowed[seq] = base.WindowBytes
+		s.windowed.push(seq, base.WindowBytes)
 	}
-	bumpHW(&s.hwSent, len(s.sent))
-	if cap := s.cfg.MaxRetained; cap > 0 && len(s.sent) > cap {
+	bumpHW(&s.hwSent, s.sent.size())
+	if cap := s.cfg.MaxRetained; cap > 0 && s.sent.size() > cap {
 		// Evict the oldest entry: it is the closest to its stability
 		// watermark, and handleNack already treats a missing entry as
 		// "garbage collected — recover via flush".
-		s.evictLowest(s.sent)
+		s.evictLowest(&s.sent)
 	}
 
 	// Self-delivery: our own casts are in-order by construction, so they
@@ -357,7 +357,7 @@ func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event
 	if st.next == seq {
 		st.next++
 	}
-	selfCopy := appia.CloneSendable(sendable)
+	selfCopy := appia.CloneSendable(ev)
 	scb := selfCopy.SendableBase()
 	scb.Source = s.cfg.Self
 	sm := scb.Msg
@@ -382,14 +382,21 @@ func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event
 
 // receiveCast handles an incoming (or self-copied) cast: pop headers,
 // dedupe, deliver in per-origin order.
-func (s *nakSession) receiveCast(ch *appia.Channel, base *CastEvent, ev appia.Event) {
+func (s *nakSession) receiveCast(ch *appia.Channel, ev Caster) {
+	base := ev.CastBase()
 	m := base.EnsureMsg()
+	// The history copy is taken while the origin and seq headers are
+	// still on: it shares the received buffer, already wire-shaped for a
+	// retransmission, and the pops below stay private to ev.
+	wire := appia.CloneSendable(ev)
 	o, err := m.PopUvarint()
 	if err != nil {
+		releaseRetained(wire)
 		return // corrupt: drop
 	}
 	seq, err := m.PopUvarint()
 	if err != nil {
+		releaseRetained(wire)
 		return
 	}
 	origin := appia.NodeID(uint32(o))
@@ -403,20 +410,21 @@ func (s *nakSession) receiveCast(ch *appia.Channel, base *CastEvent, ev appia.Ev
 	}
 	switch {
 	case seq < st.next:
+		releaseRetained(wire)
 		return // duplicate
 	case seq == st.next:
 		st.next++
-		s.storeHistory(st, origin, seq, ev)
+		s.storeHistory(st, seq, wire)
 		ch.Forward(ev)
 		s.countDelivery(ch)
 		s.drain(ch, origin, st)
 	default:
-		if _, dup := st.buffer[seq]; !dup {
+		if _, dup := st.buffer[seq]; dup {
+			releaseRetained(wire)
+		} else {
 			// Buffer the event itself; we re-forward it when the gap
-			// closes. Keep only the base pointer: forwarding needs the
-			// original ev, so store via map of event.
-			st.buffer[seq] = base
-			s.bufferEv(st, seq, ev)
+			// closes.
+			st.buffer[seq] = heldCast{ev: ev, wire: wire}
 			s.cntBuffer++
 			bumpHW(&s.hwBuffer, s.cntBuffer)
 			if cap := s.cfg.MaxRetained; cap > 0 && len(st.buffer) > cap {
@@ -430,8 +438,8 @@ func (s *nakSession) receiveCast(ch *appia.Channel, base *CastEvent, ev appia.Ev
 						high = q
 					}
 				}
+				releaseRetained(st.buffer[high].wire)
 				delete(st.buffer, high)
-				delete(st.events, high)
 				s.cntBuffer--
 				s.evicted.Add(1)
 			}
@@ -440,29 +448,19 @@ func (s *nakSession) receiveCast(ch *appia.Channel, base *CastEvent, ev appia.Ev
 	}
 }
 
-// bufferedEvs maps the buffered base cast to the full event for
-// re-forwarding. To avoid a second map we piggyback on originState.
-func (s *nakSession) bufferEv(st *originState, seq uint64, ev appia.Event) {
-	if st.events == nil {
-		st.events = make(map[uint64]appia.Event)
-	}
-	st.events[seq] = ev
-}
-
 // drain delivers any buffered casts that are now in order.
 func (s *nakSession) drain(ch *appia.Channel, origin appia.NodeID, st *originState) {
 	for {
-		ev, ok := st.events[st.next]
+		h, ok := st.buffer[st.next]
 		if !ok {
 			break
 		}
 		seq := st.next
-		delete(st.events, seq)
 		delete(st.buffer, seq)
 		s.cntBuffer--
 		st.next++
-		s.storeHistory(st, origin, seq, ev)
-		ch.Forward(ev)
+		s.storeHistory(st, seq, h.wire)
+		ch.Forward(h.ev)
 		s.countDelivery(ch)
 	}
 	if !st.missing() {
@@ -475,48 +473,33 @@ func (s *nakSession) drain(ch *appia.Channel, origin appia.NodeID, st *originSta
 	}
 }
 
-// storeHistory keeps a wire-shaped clone of a delivered cast so this node
-// can retransmit on behalf of a crashed or partitioned origin. The clone
-// re-acquires the origin/seq headers popped during reception. History is
-// pruned by the same stability watermarks as the send buffer.
-func (s *nakSession) storeHistory(st *originState, origin appia.NodeID, seq uint64, ev appia.Event) {
-	sendable, ok := ev.(appia.Sendable)
-	if !ok {
-		return
-	}
-	cp := appia.CloneSendable(sendable)
-	m := cp.SendableBase().EnsureMsg()
-	m.PushUvarint(seq)
-	m.PushUvarint(uint64(uint32(origin)))
-	if st.history == nil {
-		st.history = make(map[uint64]appia.Sendable)
-	}
-	if _, dup := st.history[seq]; !dup {
-		s.cntHistory++
-	}
-	st.history[seq] = cp
+// storeHistory keeps the wire-shaped copy of a delivered cast so this node
+// can retransmit on behalf of a crashed or partitioned origin. Casts are
+// delivered at seq == st.next, which only grows, so each origin's history
+// is appended in increasing seq order. History is pruned by the same
+// stability watermarks as the send buffer.
+func (s *nakSession) storeHistory(st *originState, seq uint64, wire appia.Sendable) {
+	st.history.push(seq, wire)
+	s.cntHistory++
 	bumpHW(&s.hwHistory, s.cntHistory)
-	if cap := s.cfg.MaxRetained; cap > 0 && len(st.history) > cap {
-		s.evictLowest(st.history)
+	if cap := s.cfg.MaxRetained; cap > 0 && st.history.size() > cap {
+		s.evictLowest(&st.history)
 		s.cntHistory--
 	}
 }
 
-// evictLowest drops the lowest-sequence entry of a retention map and
-// counts the eviction.
-func (s *nakSession) evictLowest(m map[uint64]appia.Sendable) {
-	var low uint64
-	first := true
-	for seq := range m {
-		if first || seq < low {
-			low, first = seq, false
-		}
-	}
-	if !first {
-		delete(m, low)
-		s.evicted.Add(1)
-	}
+// evictLowest drops and releases the lowest-sequence entry of a retention
+// set and counts the eviction.
+func (s *nakSession) evictLowest(r *seqRing[appia.Sendable]) {
+	releaseRetained(r.popLow().v)
+	s.evicted.Add(1)
 }
+
+// releaseRetained retires a retained copy's message. Every retained copy
+// is a clone this layer made and no other layer holds, and a clone shares
+// its buffer by reference count: the buffer is recycled only when no
+// delivered or in-flight copy still uses it.
+func releaseRetained(e appia.Sendable) { e.SendableBase().ReleaseMsg() }
 
 // armNack schedules a retransmission request for the lowest gap.
 func (s *nakSession) armNack(ch *appia.Channel, origin appia.NodeID, st *originState) {
@@ -613,15 +596,13 @@ func (s *nakSession) handleNack(ch *appia.Channel, e *Nack) {
 	sess := appia.Session(s)
 	lookup := func(seq uint64) (appia.Sendable, bool) {
 		if origin == s.cfg.Self {
-			st, ok := s.sent[seq]
-			return st, ok
+			return s.sent.get(seq)
 		}
 		ost, ok := s.recv[origin]
-		if !ok || ost.history == nil {
+		if !ok {
 			return nil, false
 		}
-		st, ok := ost.history[seq]
-		return st, ok
+		return ost.history.get(seq)
 	}
 	for seq := from; seq <= to; seq++ {
 		stored, ok := lookup(seq)
@@ -743,23 +724,19 @@ func (s *nakSession) releaseCredits(n, b int) {
 // releaseAllWindowed returns every credit the session still holds (channel
 // teardown, view install).
 func (s *nakSession) releaseAllWindowed() {
-	if len(s.windowed) == 0 {
-		return
+	n, bytes := s.windowed.size(), 0
+	for s.windowed.size() > 0 {
+		bytes += s.windowed.popLow().v
 	}
-	bytes := 0
-	for _, b := range s.windowed {
-		bytes += b
-	}
-	s.releaseCredits(len(s.windowed), bytes)
-	s.windowed = make(map[uint64]int)
+	s.releaseCredits(n, bytes)
 }
 
 // prune drops send-buffer and history entries that every member has
-// delivered.
+// delivered. Each retention set is seq-ordered, so the work is the entries
+// retired plus one comparison per set.
 func (s *nakSession) prune() {
-	mine := s.deliveredVector()
 	stableFor := func(origin appia.NodeID) (uint64, bool) {
-		min := mine[origin]
+		min := s.delivered(origin)
 		for _, m := range s.members {
 			if m == s.cfg.Self {
 				continue
@@ -774,12 +751,10 @@ func (s *nakSession) prune() {
 		}
 		return min, true
 	}
-	if len(s.sent) > 0 || len(s.windowed) > 0 {
+	if s.sent.size() > 0 || s.windowed.size() > 0 {
 		if min, ok := stableFor(s.cfg.Self); ok {
-			for seq := range s.sent {
-				if seq <= min {
-					delete(s.sent, seq)
-				}
+			for s.sent.size() > 0 && s.sent.low() <= min {
+				releaseRetained(s.sent.popLow().v)
 			}
 			// Credits return on the same watermark that prunes the send
 			// buffer: a windowed cast every member has delivered no longer
@@ -787,31 +762,24 @@ func (s *nakSession) prune() {
 			// MaxRetained evictions of sent entries, so a credit is never
 			// lost to the cap.
 			released, releasedBytes := 0, 0
-			for seq, bytes := range s.windowed {
-				if seq <= min {
-					delete(s.windowed, seq)
-					released++
-					releasedBytes += bytes
-				}
+			for s.windowed.size() > 0 && s.windowed.low() <= min {
+				released++
+				releasedBytes += s.windowed.popLow().v
 			}
-			if released > 0 {
-				s.releaseCredits(released, releasedBytes)
-			}
+			s.releaseCredits(released, releasedBytes)
 		}
 	}
 	for origin, st := range s.recv {
-		if len(st.history) == 0 {
+		if st.history.size() == 0 {
 			continue
 		}
 		min, ok := stableFor(origin)
 		if !ok {
 			continue
 		}
-		for seq := range st.history {
-			if seq <= min {
-				delete(st.history, seq)
-				s.cntHistory--
-			}
+		for st.history.size() > 0 && st.history.low() <= min {
+			releaseRetained(st.history.popLow().v)
+			s.cntHistory--
 		}
 	}
 }
@@ -830,7 +798,7 @@ func (s *nakSession) handleView(ch *appia.Channel, e *ViewInstall) {
 			if st.cancel != nil {
 				st.cancel()
 			}
-			s.cntHistory -= len(st.history)
+			s.cntHistory -= st.history.size()
 			s.cntBuffer -= len(st.buffer)
 			delete(s.recv, origin)
 		}
@@ -900,7 +868,6 @@ func (s *nakSession) handleStateTransfer(ch *appia.Channel, e *StateTransfer) {
 		for seq := range st.buffer {
 			if seq < st.next {
 				delete(st.buffer, seq)
-				delete(st.events, seq)
 				s.cntBuffer--
 			}
 		}
@@ -916,10 +883,23 @@ func (s *nakSession) handleStateTransfer(ch *appia.Channel, e *StateTransfer) {
 func (s *nakSession) origin(id appia.NodeID) *originState {
 	st, ok := s.recv[id]
 	if !ok {
-		st = &originState{next: 1, buffer: make(map[uint64]*CastEvent)}
+		st = &originState{next: 1, buffer: make(map[uint64]heldCast)}
 		s.recv[id] = st
 	}
 	return st
+}
+
+// delivered is one origin's entry of deliveredVector, computed without
+// building the vector.
+func (s *nakSession) delivered(origin appia.NodeID) uint64 {
+	var d uint64
+	if st, ok := s.recv[origin]; ok && st.next > 1 {
+		d = st.next - 1
+	}
+	if origin == s.cfg.Self && s.nextSeq > 1 && d < s.nextSeq-1 {
+		d = s.nextSeq - 1
+	}
+	return d
 }
 
 // deliveredVector snapshots the per-origin contiguous delivery watermark.

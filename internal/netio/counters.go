@@ -27,6 +27,19 @@ func classOf(class string) Class {
 	}
 }
 
+// classOfWire is classOf for a class name still in its received bytes;
+// switching on the conversion allocates nothing.
+func classOfWire(class []byte) Class {
+	switch string(class) {
+	case "data":
+		return ClassData
+	case "control":
+		return ClassControl
+	default:
+		return ClassOther
+	}
+}
+
 // String implements fmt.Stringer; it is also the snapshot map key.
 func (c Class) String() string {
 	switch c {
@@ -118,8 +131,13 @@ func (s *CounterSet) AddTx(class string, size int) {
 }
 
 // AddRx counts one reception of size bytes under class.
-func (s *CounterSet) AddRx(class string, size int) {
-	c := &s.rx[classOf(class)]
+func (s *CounterSet) AddRx(class string, size int) { s.addRx(classOf(class), size) }
+
+// AddRxWire is AddRx for a class name still in its received bytes.
+func (s *CounterSet) AddRxWire(class []byte, size int) { s.addRx(classOfWire(class), size) }
+
+func (s *CounterSet) addRx(class Class, size int) {
+	c := &s.rx[class]
 	c.msgs.Add(1)
 	c.bytes.Add(uint64(size))
 }

@@ -467,12 +467,14 @@ func marshalFrame(src netio.NodeID, port, class string, payload []byte) (*[]byte
 // errBadFrame reports an undecodable datagram.
 var errBadFrame = errors.New("udpnet: undecodable frame")
 
-// parseBody decodes one port/class/payload body in place; the returned
-// strings and payload alias b.
-func parseBody(b []byte) (port, class string, payload []byte, err error) {
+// parseBody decodes one port/class/payload body in place; port, class and
+// payload alias b, so nothing is allocated. Only the shortest encoding of
+// each length prefix is accepted — the one appendFrameBody writes — so a
+// body that decodes re-encodes to the same bytes.
+func parseBody(b []byte) (port, class, payload []byte, err error) {
 	take := func() ([]byte, bool) {
 		n, w := binary.Uvarint(b)
-		if w <= 0 || n > uint64(len(b)-w) {
+		if w <= 0 || w != uvarintLen(n) || n > uint64(len(b)-w) {
 			return nil, false
 		}
 		s := b[w : w+int(n)]
@@ -481,20 +483,20 @@ func parseBody(b []byte) (port, class string, payload []byte, err error) {
 	}
 	p, ok := take()
 	if !ok {
-		return "", "", nil, errBadFrame
+		return nil, nil, nil, errBadFrame
 	}
 	c, ok := take()
 	if !ok {
-		return "", "", nil, errBadFrame
+		return nil, nil, nil, errBadFrame
 	}
-	return string(p), string(c), b, nil
+	return p, c, b, nil
 }
 
 // parseFrame decodes a v1 datagram in place; port, class and payload
 // alias b.
-func parseFrame(b []byte) (src netio.NodeID, port, class string, payload []byte, err error) {
+func parseFrame(b []byte) (src netio.NodeID, port, class, payload []byte, err error) {
 	if len(b) < 6 || b[0] != frameMagic || b[1] != frameVersion {
-		return 0, "", "", nil, errBadFrame
+		return 0, nil, nil, nil, errBadFrame
 	}
 	src = netio.NodeID(int32(binary.BigEndian.Uint32(b[2:6])))
 	port, class, payload, err = parseBody(b[6:])
@@ -610,10 +612,7 @@ func (e *Endpoint) handleDatagram(b []byte) {
 			if e.closed.Load() {
 				return
 			}
-			e.counters.AddRx(class, len(payload))
-			if h, ok := e.ports.Get(port); ok && h != nil {
-				h(src, port, payload)
-			}
+			e.deliver(src, port, class, payload)
 		}
 		return
 	}
@@ -629,8 +628,14 @@ func (e *Endpoint) handleDatagram(b []byte) {
 		return
 	}
 	e.counters.AddRxDatagram(len(b))
-	e.counters.AddRx(class, len(payload))
-	if h, ok := e.ports.Get(port); ok && h != nil {
-		h(src, port, payload)
+	e.deliver(src, port, class, payload)
+}
+
+// deliver accounts one received frame and hands it to its port handler
+// under the registered port string.
+func (e *Endpoint) deliver(src netio.NodeID, port, class, payload []byte) {
+	e.counters.AddRxWire(class, len(payload))
+	if p, h, ok := e.ports.Lookup(port); ok && h != nil {
+		h(src, p, payload)
 	}
 }

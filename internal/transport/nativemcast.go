@@ -63,6 +63,9 @@ func (s *nmcastSession) Handle(ch *appia.Channel, ev appia.Event) {
 		ch.Forward(ev)
 		return
 	}
+	// Consumed here, like a ptp transmission: release the message once
+	// the frame has left.
+	defer sb.ReleaseMsg()
 	wire, err := MarshalAppend(s.scratch[:0], s.cfg.registry(), ch.Name(), e)
 	if err != nil {
 		s.cfg.logf("transport.nativemcast[%d]: marshal %T: %v", s.cfg.Node.ID(), e, err)

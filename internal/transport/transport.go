@@ -14,6 +14,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -135,9 +136,14 @@ func (s *ptpSession) onClose(ch *appia.Channel) {
 	}
 }
 
-// transmit marshals and unicasts a downward event.
+// transmit marshals and unicasts a downward event. The event is consumed
+// here, so its message is released once the frame has left: substrates
+// copy (or finish transmitting) the marshalled bytes before Send returns,
+// and every layer that keeps a message past this point holds its own
+// clone.
 func (s *ptpSession) transmit(ch *appia.Channel, e appia.Sendable) {
 	sb := e.SendableBase()
+	defer sb.ReleaseMsg()
 	if sb.Dest == appia.NoNode {
 		// Nothing above chose a destination: a composition bug. Drop
 		// loudly rather than guessing.
@@ -164,7 +170,7 @@ func (s *ptpSession) transmit(ch *appia.Channel, e appia.Sendable) {
 
 // receive reconstructs a frame and inserts it into the addressed channel.
 func (s *ptpSession) receive(src netio.NodeID, port string, payload []byte) {
-	chName, ev, err := Unmarshal(s.cfg.registry(), payload)
+	chName, ev, err := decode(s.cfg.registry(), payload)
 	if err != nil {
 		s.cfg.logf("transport.ptp[%d]: undecodable frame from %d: %v", s.cfg.Node.ID(), src, err)
 		return
@@ -173,7 +179,7 @@ func (s *ptpSession) receive(src netio.NodeID, port string, payload []byte) {
 	sb.Source = src
 	sb.Dest = s.cfg.Node.ID()
 	s.mu.Lock()
-	ch := s.channels[chName]
+	ch := s.channels[string(chName)]
 	s.mu.Unlock()
 	if ch == nil {
 		return // channel gone (reconfiguration race): drop
@@ -191,41 +197,71 @@ func Marshal(reg *appia.EventKindRegistry, channelName string, e appia.Sendable)
 // senders can reuse one scratch buffer instead of allocating. Substrates
 // copy (or finish transmitting) payloads before Send/Multicast return,
 // which is what makes the reuse safe.
+//
+// The channel and kind names are written straight into dst, each as a
+// uvarint length and its bytes — the layout Message.PushString gives —
+// so the event's message is only read, never pushed onto: a message
+// shared with clones (a retransmission buffer, a self-delivered copy)
+// needs no copy-on-write copy to be marshalled.
 func MarshalAppend(dst []byte, reg *appia.EventKindRegistry, channelName string, e appia.Sendable) ([]byte, error) {
 	kind, err := reg.KindOf(e)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	sb := e.SendableBase()
-	m := sb.EnsureMsg()
-	m.PushString(kind)
-	m.PushString(channelName)
-	wire := append(dst, m.Bytes()...)
-	// Restore the message so the event could be retransmitted.
-	if _, err := m.PopString(); err != nil {
-		return nil, err
+	dst = appendName(dst, channelName)
+	dst = appendName(dst, kind)
+	if m := e.SendableBase().Msg; m != nil {
+		dst = append(dst, m.Bytes()...)
 	}
-	if _, err := m.PopString(); err != nil {
-		return nil, err
+	return dst, nil
+}
+
+// appendName appends s as a uvarint length followed by its bytes.
+func appendName(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// takeName splits a uvarint-length-prefixed name off the front of b. The
+// name aliases b. Only the shortest encoding of the length is accepted —
+// the one appendName writes — so a frame that decodes re-encodes to the
+// same bytes. A longer encoding of the same value ends in a zero byte.
+func takeName(b []byte) (name, rest []byte, err error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || (w > 1 && b[w-1] == 0) {
+		return nil, nil, fmt.Errorf("%w: bad uvarint", appia.ErrMsgCorrupt)
 	}
-	return wire, nil
+	if n > uint64(len(b)-w) {
+		return nil, nil, fmt.Errorf("%w: segment length %d exceeds %d remaining", appia.ErrMsgCorrupt, n, len(b)-w)
+	}
+	return b[w : w+int(n)], b[w+int(n):], nil
+}
+
+// decode splits a wire frame into its channel name, which aliases payload,
+// and a fresh event of the encoded kind whose message holds a copy of the
+// rest. Neither name is converted to a string.
+func decode(reg *appia.EventKindRegistry, payload []byte) ([]byte, appia.Sendable, error) {
+	chName, rest, err := takeName(payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: channel name: %w", err)
+	}
+	kind, rest, err := takeName(rest)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: kind: %w", err)
+	}
+	ev, err := reg.NewFromWire(kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev.SendableBase().Msg = appia.FromWire(rest)
+	return chName, ev, nil
 }
 
 // Unmarshal decodes a wire frame into a fresh event of the encoded kind.
 func Unmarshal(reg *appia.EventKindRegistry, payload []byte) (string, appia.Sendable, error) {
-	m := appia.FromWire(payload)
-	chName, err := m.PopString()
-	if err != nil {
-		return "", nil, fmt.Errorf("transport: channel name: %w", err)
-	}
-	kind, err := m.PopString()
-	if err != nil {
-		return "", nil, fmt.Errorf("transport: kind: %w", err)
-	}
-	ev, err := reg.New(kind)
+	chName, ev, err := decode(reg, payload)
 	if err != nil {
 		return "", nil, err
 	}
-	ev.SendableBase().Msg = m
-	return chName, ev, nil
+	return string(chName), ev, nil
 }

@@ -53,6 +53,39 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCodecAllocations pins the allocation-free parts of the frame codec:
+// marshalling into a buffer with room allocates nothing, and splitting off
+// the channel and kind names, looking the channel up and resolving the
+// kind allocates only the event.
+func TestCodecAllocations(t *testing.T) {
+	r := reg(t)
+	ev := &pingEv{}
+	ev.Msg = appia.NewMessage([]byte("payload"))
+	buf := make([]byte, 0, 64)
+	var wire []byte
+	if n := testing.AllocsPerRun(100, func() {
+		wire, _ = MarshalAppend(buf[:0], r, "chan-x", ev)
+	}); n != 0 {
+		t.Fatalf("MarshalAppend: %v allocs, want 0", n)
+	}
+	channels := map[string]bool{"chan-x": true}
+	if n := testing.AllocsPerRun(100, func() {
+		chName, rest, err := takeName(wire)
+		if err != nil || !channels[string(chName)] {
+			t.Fatalf("channel %q: %v", chName, err)
+		}
+		kind, _, err := takeName(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.NewFromWire(kind); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("decoding the names: %v allocs, want 1 (the event)", n)
+	}
+}
+
 func TestMarshalUnregistered(t *testing.T) {
 	r := appia.NewEventKindRegistry()
 	ev := &pingEv{}
