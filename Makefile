@@ -36,14 +36,16 @@ castbench-smoke:
 
 # fuzz runs each native fuzz target over a network-facing decoder for a
 # fixed short budget: transport frames through the event-kind registry,
-# and udpnet frame bodies. Each target checks that decoding never panics
-# and that whatever decodes re-encodes to the same bytes. A crasher is
+# udpnet frame bodies, and the udpnet v2 container walk. Each target checks
+# that decoding never panics and that whatever decodes re-encodes to the
+# same bytes. A crasher is
 # written under the package's testdata/fuzz/ and then replays as a
 # regular test case in `go test`.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netio/udpnet -run '^$$' -fuzz '^FuzzParseBody$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netio/udpnet -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME)
 
 build:
 	$(GO) build ./...
@@ -55,9 +57,12 @@ test:
 	$(GO) test ./...
 
 # race runs the suite under the race detector in short mode (socket-bound
-# udpnet tests skip themselves under -short, keeping the job reliable).
+# udpnet tests skip themselves under -short, keeping the job reliable),
+# then repeats the scheduler's park/wake/close tests 20 times, since a lost
+# wake-up or a double drain shows only under some interleavings.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=20 -run 'Idle|Pool|Stress|Scheduler' ./internal/appia
 
 # golden replays the virtualized experiments (figure3, E5, E6, E9, E10)
 # three times each and checks the counter-matrix hashes against the pins in

@@ -149,7 +149,6 @@ func (ch *Channel) Start() error {
 	}
 	ch.state.Store(int32(ChannelStarted))
 	ch.mu.Unlock()
-	ch.sched.Start()
 	init := &ChannelInit{}
 	return ch.Insert(init, Up)
 }

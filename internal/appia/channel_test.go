@@ -467,7 +467,6 @@ func TestDeliverAfterFiresOnSchedulerGoroutine(t *testing.T) {
 
 func TestSchedulerEveryCancel(t *testing.T) {
 	sched := NewScheduler()
-	sched.Start()
 	defer sched.Close()
 	var mu sync.Mutex
 	n := 0

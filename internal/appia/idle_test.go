@@ -9,28 +9,27 @@ import (
 	"morpheus/internal/clock"
 )
 
-// The idle-hook contract, in both execution modes: the hook runs on the
+// The idle-hook contract, pooled and unpooled: the hook runs on the
 // executor once per park, after the last task of the batch that emptied
 // the mailbox; work posted while it runs is dispatched before the park;
 // and under a virtual clock it runs while the run token is still held.
 
-// schedMode is one execution mode's scheduler.
+// schedMode is one executor shape's scheduler.
 type schedMode struct {
 	name string
 	s    *Scheduler
 }
 
-// idleModes builds a started scheduler on clk in each execution mode.
+// idleModes builds a scheduler on clk for each executor shape.
 func idleModes(t *testing.T, clk clock.Clock) []schedMode {
 	t.Helper()
 	pool := NewPool(2, clk)
 	t.Cleanup(pool.Close)
 	pooled := pool.NewScheduler()
 	t.Cleanup(pooled.Close)
-	dedicated := NewSchedulerWithClock(clk)
-	dedicated.Start()
-	t.Cleanup(dedicated.Close)
-	return []schedMode{{"dedicated", dedicated}, {"pooled", pooled}}
+	unpooled := NewSchedulerWithClock(clk)
+	t.Cleanup(unpooled.Close)
+	return []schedMode{{"unpooled", unpooled}, {"pooled", pooled}}
 }
 
 // eventLog is a goroutine-safe append-only trace.

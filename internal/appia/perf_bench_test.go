@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// BenchmarkSchedulerThroughput measures how fast the scheduler goroutine
-// drains a full mailbox — the dequeue-and-dispatch path the double-buffered
-// batch swap optimises. Each round preloads a backlog with the clock
-// stopped, then times Start-to-drained.
+// BenchmarkSchedulerThroughput measures how fast the scheduler drains a
+// full mailbox — the dequeue-and-dispatch path the double-buffered batch
+// swap optimises. Each round preloads a backlog behind a gate task with the
+// clock stopped, then times gate-open-to-drained.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	var n int // touched only on the scheduler goroutine
 	fn := func() { n++ }
@@ -21,13 +21,17 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		}
 		b.StopTimer()
 		s := NewScheduler()
+		gate := make(chan struct{})
+		if err := s.Do(func() { <-gate }); err != nil {
+			b.Fatal(err)
+		}
 		for j := 0; j < k; j++ {
 			if err := s.Do(fn); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.StartTimer()
-		s.Start()
+		close(gate)
 		s.Flush()
 		b.StopTimer()
 		s.Close()

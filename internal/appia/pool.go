@@ -19,24 +19,25 @@ import (
 // time, and ownership changes hands only at mailbox-drain boundaries: a
 // worker that pops a scheduler runs Scheduler.drain to completion (mailbox
 // empty, scheduler parked) before the scheduler can be enqueued again.
-// Layer code therefore observes exactly the single-goroutine execution
-// model of dedicated mode — the memory-ordering handoff between successive
+// Layer code therefore observes a single-threaded stack, exactly as with
+// an unpooled scheduler — the memory-ordering handoff between successive
 // owning workers is carried by the chain
 //
 //	park (s.mu) -> post (s.mu) -> enqueue (pool.mu) -> pop (pool.mu) -> drain (s.mu)
 //
-// so even the scheduler fields only ever touched by "the scheduler
-// goroutine" (token state, route caches, batch buffers) need no new locks.
+// so even the scheduler fields only ever touched by the owning executor
+// (token state, route caches, batch buffers) need no new locks.
 //
 // Determinism. Under a *clock.Virtual the pool degrades to strictly
 // sequential dispatch: per-worker queues and stealing are disabled in favor
 // of one global FIFO, and each wake-up atomically (under pool.mu) enqueues
 // the scheduler for the clock's run token AND appends it to that FIFO — so
 // pop order equals token-grant order equals poster order, which is exactly
-// the dedicated-mode execution. Worker count does not change the schedule:
+// the unpooled execution. Worker count does not change the schedule:
 // whichever worker pops a scheduler still blocks on that scheduler's token
 // grant, and grants are issued one at a time in FIFO order. Golden hashes
-// are therefore byte-identical across pool sizes and versus dedicated mode.
+// are therefore byte-identical across pool sizes and versus unpooled
+// schedulers.
 type Pool struct {
 	clk  clock.Clock
 	vclk *clock.Virtual
@@ -98,9 +99,8 @@ func (p *Pool) Clock() clock.Clock { return p.clk }
 func (p *Pool) Workers() int { return len(p.local) }
 
 // NewScheduler returns a scheduler executed by this pool. It shares the
-// whole Scheduler API with dedicated schedulers (Start is a no-op — the
-// workers already run); Close drains and detaches it without stopping the
-// pool.
+// whole Scheduler API with unpooled schedulers; Close drains and detaches
+// it without stopping the pool.
 func (p *Pool) NewScheduler() *Scheduler {
 	s := NewSchedulerWithClock(p.clk)
 	s.pool = p
@@ -127,9 +127,9 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // Close stops the workers after the queued schedulers drain. Schedulers
-// must be Closed before their pool: a wake-up that reaches a closed pool is
-// executed on a fallback goroutine so no mailbox is ever stranded, but that
-// path forfeits pooling.
+// should be Closed before their pool: a wake-up that reaches a closed pool
+// drains on a fresh goroutine, as an unpooled scheduler's does, so no
+// mailbox is ever stranded, but that path forfeits pooling.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if !p.closed {
@@ -148,12 +148,9 @@ func (p *Pool) enqueue(s *Scheduler) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		// Teardown stragglers (e.g. a late timer): preserve liveness on a
-		// dedicated goroutine.
-		if p.vclk != nil {
-			p.vclk.EnqueueRunnable(s.grant)
-		}
-		go s.drain()
+		// Teardown stragglers (e.g. a late timer): preserve liveness the
+		// way an unpooled scheduler runs every wake-up.
+		s.drainDetached()
 		return
 	}
 	p.enqueues++

@@ -11,7 +11,7 @@ import (
 )
 
 // The pooled-mode conformance suite: every behavioral contract the
-// dedicated scheduler pins — exactly-once per-producer FIFO processing,
+// unpooled scheduler pins — exactly-once per-producer FIFO processing,
 // mailbox-bounds hysteresis, Flush, the close race, timer cancellation —
 // must hold unchanged when the scheduler executes on a shared Pool, plus
 // the pool-only contracts (stealing, per-group stats, virtual-time trace
@@ -331,23 +331,22 @@ func TestPooledPerGroupMailboxStats(t *testing.T) {
 // poolTrace runs one deterministic multi-scheduler workload on a virtual
 // clock and returns the execution trace: timer-seeded Do-chains hopping
 // between 8 schedulers. The trace must be a pure function of the workload —
-// independent of executor shape (dedicated goroutines, pool of 1, pool
+// independent of executor shape (unpooled schedulers, pool of 1, pool
 // of 4) and of GOMAXPROCS.
-func poolTrace(t *testing.T, workers int, dedicated bool) []string {
+func poolTrace(t *testing.T, workers int, unpooled bool) []string {
 	t.Helper()
 	clk := clock.NewVirtual()
 	defer clk.Stop()
 	var pool *Pool
-	if !dedicated {
+	if !unpooled {
 		pool = NewPool(workers, clk)
 		defer pool.Close()
 	}
 	const K = 8
 	scheds := make([]*Scheduler, K)
 	for i := range scheds {
-		if dedicated {
+		if unpooled {
 			scheds[i] = NewSchedulerWithClock(clk)
-			scheds[i].Start()
 		} else {
 			scheds[i] = pool.NewScheduler()
 		}
@@ -381,8 +380,8 @@ func poolTrace(t *testing.T, workers int, dedicated bool) []string {
 }
 
 // TestPooledVirtualTraceIdentity is the determinism theorem as a test: on a
-// virtual clock the execution trace is byte-identical across dedicated
-// mode and every pool size, because dispatch order reduces to the clock's
+// virtual clock the execution trace is byte-identical across unpooled
+// schedulers and every pool size, because dispatch order reduces to the clock's
 // FIFO token-grant order in all of them.
 func TestPooledVirtualTraceIdentity(t *testing.T) {
 	ref := poolTrace(t, 0, true)

@@ -21,13 +21,20 @@ type task struct {
 	fn     func()  // when non-nil, just run it
 }
 
-// Scheduler executes all the sessions of one protocol stack on a single
-// goroutine, in the style of the Appia event scheduler. Channels that share
+// Scheduler executes all the sessions of one protocol stack one event at a
+// time, in the style of the Appia event scheduler. Channels that share
 // sessions must share the scheduler; in this codebase every simulated node
 // owns exactly one scheduler for all its channels.
 //
+// A scheduler has no goroutine of its own. Each wake-up — the post that
+// finds it parked — hands it to an executor that runs drain until the
+// mailbox is empty and then parks it again: a worker of its Pool, or, for an
+// unpooled scheduler (NewScheduler, NewSchedulerWithClock), a fresh
+// goroutine per wake-up. Either way at most one executor owns the
+// scheduler at a time, so session code sees a single-threaded stack.
+//
 // The mailbox itself never blocks an insertion — that is essential, because
-// the scheduler goroutine re-queues events while forwarding them, and a
+// the executor re-queues events while forwarding them, and a
 // blocking intra-stack insertion would deadlock the stack against itself.
 // What CAN be bounded is external ingress: SetMailboxBounds arms a
 // high/low-watermark admission gate that external producers (group sends,
@@ -46,31 +53,26 @@ type task struct {
 // time-advance rule.
 type Scheduler struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []task // producer-side buffer; run() swaps it out wholesale
-	waiting bool   // the scheduler goroutine is parked in cond.Wait
+	queue   []task // producer-side buffer; drain() swaps it out wholesale
+	waiting bool   // parked: no executor owns the scheduler
 	closed  bool
-
-	wg      sync.WaitGroup
-	started bool
 
 	clk  clock.Clock
 	vclk *clock.Virtual // non-nil when clk is the deterministic clock
 
 	// Virtual-clock token state. grant receives the token; closing unhooks
-	// the goroutine from the token regime at Close so teardown cannot
+	// the executor from the token regime at Close so teardown cannot
 	// deadlock on a token the closer itself holds. tokenHeld is only
-	// touched by the scheduler goroutine.
+	// touched by the owning executor.
 	grant     chan struct{}
 	closing   chan struct{}
 	tokenHeld bool
 
-	// Pooled mode. When pool is non-nil the scheduler has no goroutine of
-	// its own: posts enqueue it on the pool, whose workers run drain() while
-	// owning it exclusively (see Pool). affinity is the preferred worker,
-	// guarded by pool.mu; spare is the recycled batch buffer, touched only
-	// by the owning worker; drained (closed once, via drainOnce) lets Close
-	// wait for the final drain without a goroutine to join.
+	// Executor state. pool is the executor of a pooled scheduler (nil:
+	// each wake-up drains on a fresh goroutine); affinity is its preferred
+	// worker, guarded by pool.mu. spare is the recycled batch buffer,
+	// touched only by the owning executor. drained (closed once, via
+	// drainOnce) lets Close wait for the final drain.
 	pool      *Pool
 	affinity  int
 	spare     []task
@@ -100,12 +102,11 @@ type Scheduler struct {
 // schedTimer tracks one outstanding After timer for cancellation at Close.
 type schedTimer struct{ t clock.Timer }
 
-// NewScheduler returns a wall-clock scheduler; call Start before inserting
-// events.
+// NewScheduler returns an unpooled wall-clock scheduler.
 func NewScheduler() *Scheduler { return NewSchedulerWithClock(nil) }
 
-// NewSchedulerWithClock returns a scheduler driven by clk (nil means the
-// wall clock).
+// NewSchedulerWithClock returns an unpooled scheduler driven by clk (nil
+// means the wall clock).
 func NewSchedulerWithClock(clk clock.Clock) *Scheduler {
 	s := &Scheduler{
 		clk:     clock.Or(clk),
@@ -113,66 +114,40 @@ func NewSchedulerWithClock(clk clock.Clock) *Scheduler {
 		grant:   make(chan struct{}, 1),
 		closing: make(chan struct{}),
 		drained: make(chan struct{}),
-		// A scheduler is born parked: the first post must behave like a
-		// wake-up (in particular it must queue the scheduler for a virtual
-		// clock's run token), even when it lands before run() first parks.
+		// A scheduler is born parked: the first post is a wake-up.
 		waiting: true,
 	}
 	s.vclk, _ = s.clk.(*clock.Virtual)
-	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
 // Clock returns the clock driving this scheduler's timers.
 func (s *Scheduler) Clock() clock.Clock { return s.clk }
 
-// Start launches the scheduler goroutine. It is a no-op if already started,
-// and for a pooled scheduler (whose executors — the pool workers — already
-// run; posts work from construction).
-func (s *Scheduler) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started || s.closed {
-		return
-	}
-	s.started = true
-	if s.pool != nil {
-		return
-	}
-	s.wg.Add(1)
-	go s.run() //lint:goactor-ok this goroutine IS the scheduler actor; run() holds and releases the virtual clock's run token
-}
-
 // Close stops the scheduler after draining already-queued work, cancels
-// outstanding timers, and waits for the goroutine to exit. It is safe to
-// call more than once, but must not be called from the scheduler goroutine
-// itself. Under a virtual clock the final drain runs outside the token
-// regime (the closer may itself hold the token): the channel teardown
-// ordering is unaffected because Channel.Close completes before schedulers
-// are closed.
+// outstanding timers, and waits for the final drain. It is safe to call
+// more than once, but must not be called from scheduler-run code. Under a
+// virtual clock the final drain runs outside the token regime (the closer
+// may itself hold the token): the channel teardown ordering is unaffected
+// because Channel.Close completes before schedulers are closed.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if s.pool != nil {
-			<-s.drained
-			return
-		}
-		s.wg.Wait()
+		<-s.drained
 		return
 	}
 	s.closed = true
-	s.cond.Broadcast()
 	if s.admitGate != nil {
 		// Never strand an external producer on admission to a dead mailbox.
 		close(s.admitGate)
 		s.admitGate = nil
 	}
-	// Pooled: waiting==true means parked — not owned by any worker and not
-	// in any pool queue (enqueue happens only on the post that clears
-	// waiting, and closed now blocks further posts) — so there is nothing
-	// left to drain. Otherwise a worker owns it or will pop it, and its
-	// park-on-closed signals drained.
+	// waiting==true means parked — owned by no executor and in no pool
+	// queue (a wake-up happens only on the post that clears waiting, and
+	// closed now blocks further posts) — so there is nothing left to
+	// drain. Otherwise an executor owns it or a pool worker will pop it,
+	// and its park-on-closed signals drained.
 	parked := s.waiting
 	s.mu.Unlock()
 	close(s.closing)
@@ -187,33 +162,28 @@ func (s *Scheduler) Close() {
 	if s.vclk != nil {
 		// Reclaim a token grant no executor will collect anymore: pending
 		// in the clock's run queue, already granted, or never issued — all
-		// three are handled by CancelRunnable. A pooled worker mid-drain
-		// skips token acquisition once closed, exactly like the dedicated
-		// goroutine's final drain.
+		// three are handled by CancelRunnable. An executor mid-drain skips
+		// token acquisition once closed.
 		s.vclk.CancelRunnable(s.grant)
 	}
-	if s.pool != nil {
-		switch {
-		case parked:
-			s.signalDrained()
-		case s.pool.detach(s):
-			// Still queued, owned by no worker: drain the residue inline on
-			// the closer's goroutine. This cannot wait for a pool worker —
-			// under a virtual clock the closer may hold the run token the
-			// workers are queued behind — and it cannot race an owner: the
-			// detach under pool.mu removed the only pending claim.
-			s.drain()
-		}
-		// Otherwise a worker owns the scheduler right now; its park-on-
-		// closed signals drained (token acquisition is skipped once closed,
-		// so it cannot block on a token the closer holds).
-		<-s.drained
-		return
+	switch {
+	case parked:
+		s.signalDrained()
+	case s.pool != nil && s.pool.detach(s):
+		// Still queued, owned by no worker: drain the residue inline on
+		// the closer's goroutine. This cannot wait for a pool worker —
+		// under a virtual clock the closer may hold the run token the
+		// workers are queued behind — and it cannot race an owner: the
+		// detach under pool.mu removed the only pending claim.
+		s.drain()
 	}
-	s.wg.Wait()
+	// Otherwise an executor owns the scheduler right now; its park-on-
+	// closed signals drained (token acquisition is skipped once closed, so
+	// it cannot block on a token the closer holds).
+	<-s.drained
 }
 
-// signalDrained marks the pooled scheduler fully drained (idempotent).
+// signalDrained marks the scheduler fully drained (idempotent).
 func (s *Scheduler) signalDrained() {
 	s.drainOnce.Do(func() { close(s.drained) })
 }
@@ -235,44 +205,42 @@ func (s *Scheduler) post(t task) error {
 	if s.boundHigh > 0 && s.admitGate == nil && d >= int64(s.boundHigh) {
 		s.admitGate = make(chan struct{})
 	}
-	// Signal only when the scheduler goroutine is actually parked: while it
-	// is draining a batch, posts just append. The waiting flag is only ever
-	// set under mu immediately before cond.Wait (or, pooled, at a worker's
-	// park), so a true value here means the executor is asleep and the
-	// wake-up cannot be lost.
-	wake := s.waiting
-	s.waiting = false
-	if s.pool != nil {
-		// Hand the scheduler to the pool while still holding mu (lock order
-		// s.mu -> pool.mu): once Close observes closed under mu, every
-		// wake-up is either already in a pool queue — where Close's detach
-		// can find it — or owned by a worker. In virtual mode the pool also
-		// orders the token enqueue, atomically with the queue append.
-		if wake {
+	// Wake an executor only when the scheduler is parked: while one owns
+	// it, posts just append. The executor sets waiting under mu as it
+	// parks, so a true value here means nobody owns the scheduler and the
+	// wake-up cannot be lost. The wake-up is handed over while still
+	// holding mu (lock order s.mu -> pool.mu): once Close observes closed
+	// under mu, every wake-up is either already in a pool queue — where
+	// Close's detach can find it — or owned by an executor.
+	if s.waiting {
+		s.waiting = false
+		if s.pool != nil {
 			s.pool.enqueue(s)
+		} else {
+			s.drainDetached()
 		}
-		s.mu.Unlock()
-		return nil
 	}
 	s.mu.Unlock()
-	if wake {
-		if s.vclk != nil {
-			// Queue the scheduler for the run token here, on the poster's
-			// goroutine: posters are serialized by the token regime, so the
-			// runnable order — and therefore the whole execution — is
-			// deterministic. Exactly one enqueue per park/wake cycle (the
-			// waiting flag was cleared above).
-			s.vclk.EnqueueRunnable(s.grant)
-		}
-		s.cond.Signal()
-	}
 	return nil
+}
+
+// drainDetached runs one wake-up of s on a fresh goroutine: the executor
+// of an unpooled scheduler, and of a pooled one whose pool has closed.
+// Called with s.mu held by the post that cleared waiting. Under a virtual
+// clock the scheduler is queued for the run token here, on the poster's
+// goroutine: posters are serialized by the token regime, so the runnable
+// order — and therefore the whole execution — is deterministic.
+func (s *Scheduler) drainDetached() {
+	if s.vclk != nil {
+		s.vclk.EnqueueRunnable(s.grant)
+	}
+	go s.drain()
 }
 
 // SetIdleHook installs fn as the scheduler's idle hook, replacing any
 // previous one (nil removes it). The scheduler's owner sets it once,
-// typically before the first post. The hook runs on the executor — the
-// dedicated goroutine or the owning pool worker — whenever a batch leaves
+// typically before the first post. The hook runs on the executor that owns
+// the scheduler whenever a batch leaves
 // the mailbox empty, just before the scheduler parks: outside the
 // scheduler's lock and, under a virtual clock, while the run token is
 // still held. The mailbox is re-checked afterwards, so work the hook (or
@@ -354,80 +322,16 @@ func (s *Scheduler) Flush() {
 	s.clk.Wait(done)
 }
 
-// run is the scheduler loop: a double-buffered batch dequeue. Instead of a
-// lock round trip per task, the whole pending queue is swapped out under one
-// acquisition and the batch is dispatched lock-free; the drained batch slice
-// becomes the producers' next queue buffer, so steady state recycles two
-// slices with no allocation.
-func (s *Scheduler) run() {
-	defer s.wg.Done()
-	defer s.releaseToken()
-	var batch []task
-	dispatched := false // a batch ran since the last idle hook
-	for {
-		s.mu.Lock()
-		if s.admitGate != nil && s.depth.Load() <= int64(s.boundLow) {
-			// Drained below the low watermark: readmit external producers.
-			close(s.admitGate)
-			s.admitGate = nil
-		}
-		if idle := s.idle; dispatched && idle != nil && len(s.queue) == 0 {
-			// Out of work: run the idle hook before parking (and before
-			// the token release below), then re-check the mailbox.
-			dispatched = false
-			s.mu.Unlock()
-			idle()
-			continue
-		}
-		for len(s.queue) == 0 && !s.closed {
-			s.waiting = true
-			if s.vclk != nil && s.tokenHeld {
-				// Release the run token before parking, outside mu (lock
-				// order: never hold s.mu across clock calls that can
-				// block). Re-check the park condition afterwards: a post
-				// may have landed in the window.
-				s.mu.Unlock()
-				s.releaseToken()
-				s.mu.Lock()
-				if len(s.queue) > 0 || s.closed {
-					break
-				}
-			}
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 { // closed and fully drained
-			s.mu.Unlock()
-			return
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if !closed {
-			// Serialize with every other actor of a virtual clock. A
-			// closing scheduler skips this: its remaining work is teardown
-			// debris, and the closer may be holding the token.
-			s.acquireToken()
-		}
-		s.mu.Lock()
-		batch, s.queue = s.queue, batch[:0]
-		s.mu.Unlock()
-
-		for i := range batch {
-			s.dispatch(batch[i])
-		}
-		s.depth.Add(int64(-len(batch)))
-		clear(batch) // release the events for the GC in one bulk write
-		dispatched = true
-	}
-}
-
-// drain is the pooled-mode counterpart of run: the owning pool worker (or,
-// during Close, the closer) drains the mailbox to empty and parks the
-// scheduler. Ownership is exclusive from pop to park, so the loop body is
-// the same double-buffered batch dequeue as run — including holding the
-// virtual clock's run token across batches — with one difference at the
-// park: releasing the token, re-setting waiting and (when closed)
+// drain is the scheduler loop, run by the executor that owns the
+// scheduler (or, during Close, by the closer): a double-buffered batch
+// dequeue until the mailbox is empty. Instead of a lock round trip per
+// task, the whole pending queue is swapped out under one acquisition and
+// the batch is dispatched lock-free; the drained batch slice becomes the
+// producers' next queue buffer, so steady state recycles two slices with
+// no allocation. The virtual clock's run token is held across batches. At
+// the park, releasing the token, re-setting waiting and (when closed)
 // signalling the final drain happen under a single mu hold, so the next
-// post observes a fully-parked scheduler and re-enqueues it exactly once.
+// post observes a fully-parked scheduler and wakes it exactly once.
 func (s *Scheduler) drain() {
 	var batch []task
 	for {
@@ -438,12 +342,13 @@ func (s *Scheduler) drain() {
 			batch = nil
 		}
 		if s.admitGate != nil && s.depth.Load() <= int64(s.boundLow) {
+			// Drained below the low watermark: readmit external producers.
 			close(s.admitGate)
 			s.admitGate = nil
 		}
 		if idle := s.idle; dispatched && idle != nil && len(s.queue) == 0 {
-			// As in run: the idle hook runs with the token still held,
-			// then the mailbox is re-checked.
+			// Out of work: run the idle hook before parking, with the
+			// token still held, then re-check the mailbox.
 			s.mu.Unlock()
 			idle()
 			continue
@@ -461,6 +366,9 @@ func (s *Scheduler) drain() {
 		closed := s.closed
 		s.mu.Unlock()
 		if !closed {
+			// Serialize with every other actor of a virtual clock. A
+			// closing scheduler skips this: its remaining work is teardown
+			// debris, and the closer may be holding the token.
 			s.acquireToken()
 		}
 		s.mu.Lock()

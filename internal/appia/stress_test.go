@@ -76,7 +76,6 @@ func TestSchedulerConcurrentInsertStress(t *testing.T) {
 // panic, no goroutine leak (the -race runner catches misuse).
 func TestTimerStormUnderClose(t *testing.T) {
 	sched := NewScheduler()
-	sched.Start()
 	var fired atomic.Int64
 	for i := 0; i < 200; i++ {
 		d := time.Duration(i%10+1) * time.Millisecond

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/clock"
 	"morpheus/internal/group"
 	"morpheus/internal/transport"
 	"morpheus/internal/vnet"
@@ -28,10 +29,15 @@ func (g *gossipNode) count() int {
 }
 
 // buildGossipCluster runs bare ptp → epidemic stacks (no reliability on
-// top) so the raw gossip behaviour is observable.
-func buildGossipCluster(t *testing.T, n, fanout, rounds int) []*gossipNode {
+// top) so the raw gossip behaviour is observable. The cluster runs on a
+// virtual clock: which receivers a message reaches depends on the order
+// in which gossip copies arrive, so coverage is a pure function of the
+// seed instead of wall-clock scheduling. Tests wait with clk.Sleep.
+func buildGossipCluster(t *testing.T, n, fanout, rounds int) ([]*gossipNode, *clock.Virtual) {
 	t.Helper()
-	w := vnet.NewWorld(6)
+	clk := clock.NewVirtual()
+	t.Cleanup(clk.Stop)
+	w := vnet.NewWorldWithClock(6, clk)
 	t.Cleanup(func() { _ = w.Close() })
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	group.RegisterWireEvents(nil)
@@ -46,7 +52,7 @@ func buildGossipCluster(t *testing.T, n, fanout, rounds int) []*gossipNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := &gossipNode{id: id, vn: vn, sched: appia.NewScheduler()}
+		g := &gossipNode{id: id, vn: vn, sched: appia.NewSchedulerWithClock(clk)}
 		t.Cleanup(g.sched.Close)
 		q, err := appia.NewQoS("gossip",
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "g", Logf: t.Logf}),
@@ -72,7 +78,7 @@ func buildGossipCluster(t *testing.T, n, fanout, rounds int) []*gossipNode {
 			t.Fatal("never ready")
 		}
 	}
-	return nodes
+	return nodes, clk
 }
 
 func cast(t *testing.T, g *gossipNode, payload string) {
@@ -85,27 +91,14 @@ func cast(t *testing.T, g *gossipNode, payload string) {
 }
 
 func TestGossipReachesEveryoneLossless(t *testing.T) {
-	nodes := buildGossipCluster(t, 12, 3, 5)
+	nodes, clk := buildGossipCluster(t, 12, 3, 5)
 	const k = 20
 	for i := 0; i < k; i++ {
 		cast(t, nodes[0], fmt.Sprintf("g%02d", i))
 	}
-	// Raw gossip may legitimately miss a straggler, so this wait is
-	// bounded short and the assertion below tolerates one.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		all := true
-		for _, g := range nodes[1:] {
-			if g.count() < k {
-				all = false
-				break
-			}
-		}
-		if all {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Raw gossip may legitimately miss a straggler, so the assertion below
+	// tolerates one.
+	clk.Sleep(2 * time.Second)
 	reached := 0
 	for _, g := range nodes[1:] {
 		if g.count() == k {
@@ -120,9 +113,9 @@ func TestGossipReachesEveryoneLossless(t *testing.T) {
 }
 
 func TestGossipDedupes(t *testing.T) {
-	nodes := buildGossipCluster(t, 6, 5, 6) // dense gossip: many duplicates on the wire
+	nodes, clk := buildGossipCluster(t, 6, 5, 6) // dense gossip: many duplicates on the wire
 	cast(t, nodes[0], "once")
-	time.Sleep(200 * time.Millisecond)
+	clk.Sleep(200 * time.Millisecond)
 	for _, g := range nodes[1:] {
 		if g.count() > 1 {
 			t.Fatalf("node %d delivered %d copies", g.id, g.count())
@@ -131,12 +124,12 @@ func TestGossipDedupes(t *testing.T) {
 }
 
 func TestGossipLoadIsBounded(t *testing.T) {
-	nodes := buildGossipCluster(t, 16, 3, 4)
+	nodes, clk := buildGossipCluster(t, 16, 3, 4)
 	const k = 30
 	for i := 0; i < k; i++ {
 		cast(t, nodes[0], fmt.Sprintf("m%02d", i))
 	}
-	time.Sleep(400 * time.Millisecond)
+	clk.Sleep(400 * time.Millisecond)
 	// The sender's per-message cost is Fanout, not n−1.
 	senderTx := nodes[0].vn.Counters().TotalTx()
 	if senderTx > uint64(k*3) {
@@ -149,9 +142,9 @@ func TestGossipLoadIsBounded(t *testing.T) {
 
 func TestGossipTTLBoundsPropagation(t *testing.T) {
 	// rounds=1: the message reaches at most the sender's fanout peers.
-	nodes := buildGossipCluster(t, 12, 2, 1)
+	nodes, clk := buildGossipCluster(t, 12, 2, 1)
 	cast(t, nodes[0], "short-lived")
-	time.Sleep(200 * time.Millisecond)
+	clk.Sleep(200 * time.Millisecond)
 	got := 0
 	for _, g := range nodes[1:] {
 		got += g.count()

@@ -171,8 +171,9 @@ func goldenOverload(seed int64) (string, error) {
 }
 
 // goldenManyGroups pins E11 at its full 256-group scale: the hash is the
-// statement that pooled dispatch at any worker count reproduces dedicated
-// mode byte-for-byte across hundreds of concurrently hosted stacks.
+// statement that pooled dispatch at any worker count reproduces the
+// unpooled execution byte-for-byte across hundreds of concurrently hosted
+// stacks.
 func goldenManyGroups(seed int64) (string, error) {
 	rows, err := RunManyGroups(ManyGroupsConfig{Seed: seed})
 	if err != nil {

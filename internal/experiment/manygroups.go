@@ -25,7 +25,7 @@ import (
 // windows with exact credit accounting, exactly-once gap-free complete
 // delivery at every receiver, zero cross-group leaks — and emits one
 // canonical row per group. Under the virtual clock the whole matrix is
-// bit-reproducible at any pool size (and in dedicated mode): the golden
+// bit-reproducible at any pool size: the golden
 // hash is the theorem "pooled dispatch does not change the execution"
 // stated over ~800 concurrently hosted stacks.
 

@@ -492,6 +492,63 @@ func parseBody(b []byte) (port, class, payload []byte, err error) {
 	return p, c, b, nil
 }
 
+// appendContainerHeader starts a v2 container datagram from src. Its count
+// field is zero until setContainerCount patches it at seal time.
+func appendContainerHeader(b []byte, src netio.NodeID) []byte {
+	b = append(b, frameMagic, containerVersion)
+	b = binary.BigEndian.AppendUint32(b, uint32(src))
+	return append(b, 0, 0)
+}
+
+// appendContainerEntry appends one frame to a container: the body's
+// length as a uvarint, then the body.
+func appendContainerEntry(b []byte, port, class string, payload []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(frameBodyLen(port, class, payload)))
+	return appendFrameBody(b, port, class, payload)
+}
+
+// setContainerCount patches the frame count into a container's header.
+func setContainerCount(b []byte, frames int) {
+	binary.BigEndian.PutUint16(b[6:8], uint16(frames))
+}
+
+// parseContainer validates a v2 container datagram and returns its sender
+// and its entries, the bytes after the header, for nextEntry to walk. A
+// container is valid when it holds exactly the counted entries, each a
+// minimal uvarint length and a body parseBody accepts, and no byte after
+// the last one; so a container that parses re-encodes to the same bytes.
+// Nothing is copied.
+func parseContainer(b []byte) (src netio.NodeID, entries []byte, err error) {
+	if len(b) < containerHdrLen || b[0] != frameMagic || b[1] != containerVersion {
+		return 0, nil, errBadFrame
+	}
+	count := int(binary.BigEndian.Uint16(b[6:8]))
+	entries = b[containerHdrLen:]
+	rest := entries
+	for i := 0; i < count; i++ {
+		n, w := binary.Uvarint(rest)
+		if w <= 0 || w != uvarintLen(n) || n > uint64(len(rest)-w) {
+			return 0, nil, fmt.Errorf("%w: entry %d/%d has no valid length", errBadFrame, i+1, count)
+		}
+		if _, _, _, err := parseBody(rest[w : w+int(n)]); err != nil {
+			return 0, nil, fmt.Errorf("%w: entry %d/%d", err, i+1, count)
+		}
+		rest = rest[w+int(n):]
+	}
+	if len(rest) > 0 {
+		return 0, nil, fmt.Errorf("%w: %d bytes after the last of %d entries", errBadFrame, len(rest), count)
+	}
+	return netio.NodeID(int32(binary.BigEndian.Uint32(b[2:6]))), entries, nil
+}
+
+// nextEntry decodes the first entry of a region parseContainer accepted
+// and returns the rest; port, class and payload alias entries.
+func nextEntry(entries []byte) (port, class, payload, rest []byte) {
+	n, w := binary.Uvarint(entries)
+	port, class, payload, _ = parseBody(entries[w : w+int(n)])
+	return port, class, payload, entries[w+int(n):]
+}
+
 // parseFrame decodes a v1 datagram in place; port, class and payload
 // alias b.
 func parseFrame(b []byte) (src netio.NodeID, port, class, payload []byte, err error) {
@@ -588,27 +645,19 @@ func (e *Endpoint) writeVia(conn *net.UDPConn, addr *net.UDPAddr, port, class st
 // alias the read buffer, honouring the netio.Handler borrowed-payload
 // contract; nothing is copied on this path.
 func (e *Endpoint) handleDatagram(b []byte) {
-	if len(b) >= containerHdrLen && b[0] == frameMagic && b[1] == containerVersion {
-		src := netio.NodeID(int32(binary.BigEndian.Uint32(b[2:6])))
+	if len(b) >= 2 && b[0] == frameMagic && b[1] == containerVersion {
+		src, entries, err := parseContainer(b)
+		if err != nil {
+			e.logf("udpnet[%d]: drop %d-byte container: %v", e.id, len(b), err)
+			return
+		}
 		if src == e.id {
 			return // multicast loopback of our own transmission
 		}
-		count := int(binary.BigEndian.Uint16(b[6:8]))
 		e.counters.AddRxDatagram(len(b))
-		rest := b[containerHdrLen:]
-		for i := 0; i < count; i++ {
-			n, w := binary.Uvarint(rest)
-			if w <= 0 || n > uint64(len(rest)-w) {
-				e.logf("udpnet[%d]: drop container tail: frame %d/%d undecodable", e.id, i+1, count)
-				return
-			}
-			body := rest[w : w+int(n)]
-			rest = rest[w+int(n):]
-			port, class, payload, err := parseBody(body)
-			if err != nil {
-				e.logf("udpnet[%d]: drop container frame %d/%d: %v", e.id, i+1, count, err)
-				continue
-			}
+		for len(entries) > 0 {
+			port, class, payload, rest := nextEntry(entries)
+			entries = rest
 			if e.closed.Load() {
 				return
 			}

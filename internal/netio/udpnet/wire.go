@@ -1,7 +1,6 @@
 package udpnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -123,11 +122,7 @@ func (c *coalescer) enqueue(dest wireDest, port, class string, payload []byte) e
 		if d == nil {
 			d = dgramPool.Get().(*dgram)
 			bp := framePool.Get().(*[]byte)
-			b := (*bp)[:0]
-			b = append(b, frameMagic, containerVersion)
-			b = binary.BigEndian.AppendUint32(b, uint32(c.ep.id))
-			b = append(b, 0, 0) // count, patched at seal
-			*bp = b
+			*bp = appendContainerHeader((*bp)[:0], c.ep.id)
 			d.dest, d.bp, d.frames = dest, bp, 0
 			c.open[dest] = d
 			c.order = append(c.order, dest)
@@ -140,10 +135,7 @@ func (c *coalescer) enqueue(dest wireDest, port, class string, payload []byte) e
 				}
 			}
 		}
-		b := *d.bp
-		b = binary.AppendUvarint(b, uint64(body))
-		b = appendFrameBody(b, port, class, payload)
-		*d.bp = b
+		*d.bp = appendContainerEntry(*d.bp, port, class, payload)
 		d.frames++
 		if c.delay <= 0 {
 			// No delay budget: seal immediately. Packing still happens when
@@ -170,7 +162,7 @@ func (c *coalescer) sealLocked(dest wireDest) {
 		return
 	}
 	delete(c.open, dest)
-	binary.BigEndian.PutUint16((*d.bp)[6:8], uint16(d.frames))
+	setContainerCount(*d.bp, d.frames)
 	c.ready = append(c.ready, d)
 }
 

@@ -218,14 +218,13 @@ type Config struct {
 	SendWindowBytes int
 	// SchedulerWorkers sizes the node's shared scheduler pool: the fixed
 	// set of worker goroutines that execute every hosted group's protocol
-	// stack (the control plane keeps its own dedicated scheduler, so
-	// heartbeats and adaptation never queue behind data traffic). Group
-	// count and worker count are decoupled — a node hosting 1,000 groups
-	// runs the same few goroutines as one hosting 10, and idle groups cost
-	// nothing. 0 means GOMAXPROCS, overridable by the MORPHEUS_POOL
-	// environment variable ("dedicated" or a worker count — the CI
-	// determinism matrix uses it); DedicatedSchedulers (-1) restores the
-	// scheduler-goroutine-per-group model. Under a virtual clock the pool
+	// stack (the control plane runs on a worker of its own, so heartbeats
+	// and adaptation never queue behind data traffic). Group count and
+	// worker count are decoupled — a node hosting 1,000 groups runs the
+	// same few goroutines as one hosting 10, and idle groups cost
+	// nothing. 0 means GOMAXPROCS, overridable by a worker count in the
+	// MORPHEUS_POOL environment variable (the CI determinism matrix uses
+	// it); negative values are rejected. Under a virtual clock the pool
 	// dispatches deterministically, so experiment results are identical at
 	// every setting.
 	SchedulerWorkers int
@@ -288,7 +287,8 @@ type GroupConfig struct {
 type Node struct {
 	cfg      Config
 	endpoint Endpoint
-	pool     *appia.Pool      // shared executor for every group's stack (nil in dedicated mode)
+	pool     *appia.Pool      // shared executor for every group's stack
+	ctlPool  *appia.Pool      // one-worker executor of ctlSched alone
 	ctlSched *appia.Scheduler // control-plane scheduler (heartbeats, adaptation)
 	ctl      *appia.Channel
 	ctx      *cocaditem.Session
@@ -338,31 +338,20 @@ var (
 // channel.
 const ControlPort = "ctl"
 
-// DedicatedSchedulers, as Config.SchedulerWorkers, gives every hosted
-// group its own scheduler goroutine instead of the shared worker pool.
-const DedicatedSchedulers = -1
-
 // PoolStats is a snapshot of the node scheduler pool's dispatch counters.
 type PoolStats = appia.PoolStats
 
 // resolveWorkers maps Config.SchedulerWorkers (and the MORPHEUS_POOL
-// environment override used by the CI determinism matrix) to a pool size,
-// or DedicatedSchedulers.
+// environment override used by the CI determinism matrix) to a pool size;
+// 0 lets NewPool default to GOMAXPROCS.
 func resolveWorkers(n int) int {
 	if n != 0 {
 		return n
 	}
-	switch v := os.Getenv("MORPHEUS_POOL"); v {
-	case "", "0":
-		return 0 // NewPool defaults to GOMAXPROCS
-	case "dedicated":
-		return DedicatedSchedulers
-	default:
-		if k, err := strconv.Atoi(v); err == nil && k > 0 {
-			return k
-		}
-		return 0
+	if k, err := strconv.Atoi(os.Getenv("MORPHEUS_POOL")); err == nil && k > 0 {
+		return k
 	}
+	return 0
 }
 
 // Start builds, deploys and starts a node: the shared control plane plus
@@ -377,6 +366,9 @@ func Start(cfg Config) (*Node, error) {
 		// of leaking by default (group.NakConfig.UnboundedBuffers is the
 		// layer-level opt-in for short-lived test channels).
 		return nil, fmt.Errorf("morpheus: %w", group.ErrUnboundedNak)
+	}
+	if cfg.SchedulerWorkers < 0 {
+		return nil, fmt.Errorf("morpheus: SchedulerWorkers %d is negative", cfg.SchedulerWorkers)
 	}
 	logf := netio.Logf(cfg.Logf).Or()
 	ep := cfg.Endpoint
@@ -424,17 +416,20 @@ func Start(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:      cfg,
 		endpoint: ep,
-		ctlSched: appia.NewSchedulerWithClock(cfg.Clock),
-		groups:   make(map[string]*Group),
+		pool:     appia.NewPool(resolveWorkers(cfg.SchedulerWorkers), cfg.Clock),
+		// The control plane gets a worker of its own, so heartbeats and
+		// adaptation never queue behind data traffic. A pool rather than an
+		// unpooled scheduler: its one long-lived worker keeps a grown
+		// stack, where a fresh goroutine per wake-up regrows it each time.
+		ctlPool: appia.NewPool(1, cfg.Clock),
+		groups:  make(map[string]*Group),
 	}
+	n.ctlSched = n.ctlPool.NewScheduler()
 	// Every scheduler of the node flushes the wire plane when it runs out
 	// of work, so a lone frame leaves at once instead of waiting out the
 	// substrate's delay bound. One hook per scheduler, not per channel:
 	// channels come and go with every reconfiguration epoch.
 	n.ctlSched.SetIdleHook(ep.Flush)
-	if w := resolveWorkers(cfg.SchedulerWorkers); w != DedicatedSchedulers {
-		n.pool = appia.NewPool(w, cfg.Clock)
-	}
 
 	// The default group rides on Config for backwards compatibility: a
 	// single-group node keeps the original Start(Members, Policies,
@@ -455,10 +450,7 @@ func Start(cfg Config) (*Node, error) {
 			SendWindowBytes:   cfg.SendWindowBytes,
 		})
 		if err != nil {
-			n.ctlSched.Close()
-			if n.pool != nil {
-				n.pool.Close()
-			}
+			n.teardownEarly()
 			return nil, fmt.Errorf("morpheus: deploy initial config: %w", err)
 		}
 		n.groups[DefaultGroup] = g
@@ -538,10 +530,16 @@ func (n *Node) teardownEarly() {
 			g.teardown()
 		}
 	}
+	n.closeExecutors()
+}
+
+// closeExecutors stops the control-plane scheduler and both pools. It runs
+// last in every teardown: every group scheduler has fully drained by then,
+// so the workers are idle.
+func (n *Node) closeExecutors() {
 	n.ctlSched.Close()
-	if n.pool != nil {
-		n.pool.Close()
-	}
+	n.ctlPool.Close()
+	n.pool.Close()
 }
 
 // buildGroup constructs and deploys one hosted group: its own scheduler
@@ -586,11 +584,7 @@ func (n *Node) buildGroupAt(name string, gc GroupConfig, doc *Document, configNa
 		node: n,
 		ep:   &groupEndpoint{Endpoint: n.endpoint},
 	}
-	if n.pool != nil {
-		g.sched = n.pool.NewScheduler()
-	} else {
-		g.sched = appia.NewSchedulerWithClock(n.cfg.Clock)
-	}
+	g.sched = n.pool.NewScheduler()
 	g.sched.SetIdleHook(n.endpoint.Flush)
 	g.manager = stack.NewManager(stack.ManagerConfig{
 		Node:            g.ep,
@@ -921,14 +915,8 @@ func (n *Node) Clock() Clock { return n.cfg.Clock }
 func (n *Node) Endpoint() Endpoint { return n.endpoint }
 
 // PoolStats snapshots the node scheduler pool's dispatch counters (worker
-// batches, wake-ups, steals). The zero value is returned in dedicated mode
-// (Config.SchedulerWorkers == DedicatedSchedulers).
-func (n *Node) PoolStats() PoolStats {
-	if n.pool == nil {
-		return PoolStats{}
-	}
-	return n.pool.Stats()
-}
+// batches, wake-ups, steals).
+func (n *Node) PoolStats() PoolStats { return n.pool.Stats() }
 
 // VNode exposes the virtual network attachment (counters, battery, crash
 // injection) when the node runs on the vnet convenience path; it returns
@@ -1024,12 +1012,7 @@ func (n *Node) Close() error {
 			firstErr = err
 		}
 	}
-	n.ctlSched.Close()
-	if n.pool != nil {
-		// Last: every group scheduler has fully drained by now, so the
-		// workers are idle.
-		n.pool.Close()
-	}
+	n.closeExecutors()
 	return firstErr
 }
 

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"morpheus"
+	"morpheus/internal/netio"
+	"morpheus/internal/netio/loopnet"
 	"morpheus/internal/vnet"
 )
 
@@ -19,9 +21,9 @@ import (
 //
 //   - exactly-once, zero-leak delivery in every group at every member,
 //   - and bit-identical delivery traces at equal seed across the default
-//     pool, a single-worker pool, and dedicated per-group schedulers —
-//     the "pooled dispatch does not change the execution" theorem stated
-//     through the public Join/Send/Leave surface.
+//     pool, a single-worker pool and a four-worker pool — the "worker
+//     count does not change the execution" theorem stated through the
+//     public Join/Send/Leave surface.
 //
 // Under -race this doubles as the proof that pool handoffs (park → post →
 // enqueue → pop → drain) carry the happens-before edges the serialization
@@ -34,12 +36,33 @@ func TestPooledManyGroupStress(t *testing.T) {
 	const seed = 31
 	pooled := runPooledStress(t, seed, groups, 0)
 	single := runPooledStress(t, seed, groups, 1)
-	dedicated := runPooledStress(t, seed, groups, morpheus.DedicatedSchedulers)
+	four := runPooledStress(t, seed, groups, 4)
 	if pooled != single {
 		t.Fatal("equal-seed traces diverged: default pool vs single-worker pool")
 	}
-	if pooled != dedicated {
-		t.Fatal("equal-seed traces diverged: pooled vs dedicated schedulers")
+	if pooled != four {
+		t.Fatal("equal-seed traces diverged: default pool vs four-worker pool")
+	}
+}
+
+// TestStartRejectsNegativeSchedulerWorkers pins that a negative worker
+// count is a configuration error: the pool is the only executor for hosted
+// groups, so no negative value selects another mode.
+func TestStartRejectsNegativeSchedulerWorkers(t *testing.T) {
+	nw := loopnet.New()
+	defer nw.Close()
+	ep, err := nw.Attach(netio.EndpointConfig{ID: 1, Kind: netio.Fixed, Segments: []string{"lan"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := morpheus.Start(morpheus.Config{
+		Endpoint:         ep,
+		Members:          []morpheus.NodeID{1},
+		SchedulerWorkers: -1,
+	})
+	if err == nil {
+		_ = nd.Close()
+		t.Fatal("Start accepted SchedulerWorkers -1")
 	}
 }
 
@@ -195,16 +218,9 @@ func runPooledStress(t *testing.T, seed int64, groupsN, workers int) string {
 	wave2Done()
 	waitDelivered(half, groupsN)
 
-	// The pool actually hosted the run (or was genuinely off).
-	ps := nodes[1].PoolStats()
-	if workers == morpheus.DedicatedSchedulers {
-		if ps.Workers != 0 {
-			t.Fatalf("dedicated mode reports a pool: %+v", ps)
-		}
-	} else {
-		if ps.Workers == 0 || ps.Batches == 0 || !ps.Deterministic {
-			t.Fatalf("pooled virtual run has implausible pool stats: %+v", ps)
-		}
+	// The pool actually hosted the run.
+	if ps := nodes[1].PoolStats(); ps.Workers == 0 || ps.Batches == 0 || !ps.Deterministic {
+		t.Fatalf("pooled virtual run has implausible pool stats: %+v", ps)
 	}
 
 	// Exactly-once, zero-leak verification per (node, group).

@@ -263,62 +263,56 @@ func TestMultiGroupOverUDP(t *testing.T) {
 
 // TestIdleFlushOverUDP pins the scheduler-idle flush end to end: with the
 // wire plane's delay bound set to an hour, a cast must still reach every
-// member of a 3-node group within a second, in both scheduler modes —
-// each stack flushes the coalescer itself the moment it runs out of work.
+// member of a 3-node group within a second — each stack flushes the
+// coalescer itself the moment it runs out of work.
 func TestIdleFlushOverUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("udpnet socket tests skipped in -short mode")
 	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"pooled", 0}, {"dedicated", morpheus.DedicatedSchedulers}} {
-		t.Run(mode.name, func(t *testing.T) {
-			members := []morpheus.NodeID{1, 2, 3}
-			peers := map[netio.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0", 3: "127.0.0.1:0"}
-			nw, err := udpnet.New(udpnet.Config{Peers: peers, WireFlushDelay: time.Hour})
+	t.Run("pooled", func(t *testing.T) {
+		members := []morpheus.NodeID{1, 2, 3}
+		peers := map[netio.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0", 3: "127.0.0.1:0"}
+		nw, err := udpnet.New(udpnet.Config{Peers: peers, WireFlushDelay: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		delivered := make(chan morpheus.NodeID, len(members))
+		var nodes []*morpheus.Node
+		defer func() {
+			for _, nd := range nodes {
+				_ = nd.Close()
+			}
+		}()
+		for _, id := range members {
+			ep, err := nw.Attach(netio.EndpointConfig{ID: id, Kind: netio.Fixed, Segments: []string{"lan"}})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("attach %d: %v", id, err)
 			}
-			defer nw.Close()
-			delivered := make(chan morpheus.NodeID, len(members))
-			var nodes []*morpheus.Node
-			defer func() {
-				for _, nd := range nodes {
-					_ = nd.Close()
-				}
-			}()
-			for _, id := range members {
-				ep, err := nw.Attach(netio.EndpointConfig{ID: id, Kind: netio.Fixed, Segments: []string{"lan"}})
-				if err != nil {
-					t.Fatalf("attach %d: %v", id, err)
-				}
-				nd, err := morpheus.Start(morpheus.Config{
-					Endpoint:         ep,
-					Members:          members,
-					SchedulerWorkers: mode.workers,
-					OnMessage: func(morpheus.NodeID, []byte) {
-						delivered <- id
-					},
-				})
-				if err != nil {
-					t.Fatalf("start %d: %v", id, err)
-				}
-				nodes = append(nodes, nd)
+			nd, err := morpheus.Start(morpheus.Config{
+				Endpoint: ep,
+				Members:  members,
+				OnMessage: func(morpheus.NodeID, []byte) {
+					delivered <- id
+				},
+			})
+			if err != nil {
+				t.Fatalf("start %d: %v", id, err)
 			}
-			if err := nodes[0].Send([]byte("idle-flushed")); err != nil {
-				t.Fatal(err)
+			nodes = append(nodes, nd)
+		}
+		if err := nodes[0].Send([]byte("idle-flushed")); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.After(time.Second)
+		for seen := 0; seen < len(members); seen++ {
+			select {
+			case <-delivered:
+			case <-deadline:
+				t.Fatalf("%d of %d members delivered within 1s: frames waited on the delay bound", seen, len(members))
 			}
-			deadline := time.After(time.Second)
-			for seen := 0; seen < len(members); seen++ {
-				select {
-				case <-delivered:
-				case <-deadline:
-					t.Fatalf("%d of %d members delivered within 1s: frames waited on the delay bound", seen, len(members))
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // waitUntil polls cond until true or the deadline.

@@ -11,7 +11,7 @@
 // channels (e.g. flowctl's context-merge helper) are fine and are not
 // flagged: the analyzer only fires when the spawned body visibly touches
 // clock state. The infrastructure that *implements* the actor protocol
-// (scheduler run loops, the pool's workers, the vnet wall engine)
+// (the scheduler drain loop, the pool's workers, the vnet wall engine)
 // annotates its spawns with //lint:goactor-ok and the reason it is
 // allowed to sit below the seam.
 package goactor
