@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json golden chaos chaos-scale chaos-churn soak lint castbench-smoke fuzz
+.PHONY: check build vet test race bench bench-json golden chaos chaos-scale chaos-churn soak lint castbench-smoke fuzz examples
 
 # check is the CI entry point: vet, build, full test suite, bench smoke run.
 check: vet build test bench
@@ -36,9 +36,10 @@ castbench-smoke:
 
 # fuzz runs each native fuzz target over a network-facing decoder for a
 # fixed short budget: transport frames through the event-kind registry,
-# udpnet frame bodies, and the udpnet v2 container walk. Each target checks
-# that decoding never panics and that whatever decodes re-encodes to the
-# same bytes. A crasher is
+# udpnet frame bodies, the udpnet v2 container walk, and the appiaxml
+# configuration documents a coordinator ships to its members. Each target
+# checks that decoding never panics and that whatever decodes re-encodes to
+# the same bytes (appiaxml: re-parses to an equal document). A crasher is
 # written under the package's testdata/fuzz/ and then replays as a
 # regular test case in `go test`.
 FUZZTIME ?= 20s
@@ -46,9 +47,26 @@ fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netio/udpnet -run '^$$' -fuzz '^FuzzParseBody$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netio/udpnet -run '^$$' -fuzz '^FuzzContainer$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/appia/appiaxml -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 build:
 	$(GO) build ./...
+
+# examples builds each vnet example and cmd/morpheus-chat, runs it twice,
+# and fails on a non-zero exit or on any stdout difference between the two
+# runs: the programs simulate on the virtual clock at fixed seeds, so equal
+# runs must print equal output. examples/live runs over real UDP sockets
+# and is covered by the soak target instead.
+EXAMPLES ?= ./examples/quickstart ./examples/chat ./examples/energy ./examples/epidemic ./examples/adaptive-fec ./examples/xmlconfig ./cmd/morpheus-chat
+examples:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for p in $(EXAMPLES); do \
+		echo "examples: $$p"; \
+		$(GO) build -o "$$tmp/prog" $$p || exit 1; \
+		"$$tmp/prog" > "$$tmp/run1.txt" || exit 1; \
+		"$$tmp/prog" > "$$tmp/run2.txt" || exit 1; \
+		diff "$$tmp/run1.txt" "$$tmp/run2.txt" || { echo "examples: $$p printed different output on two runs"; exit 1; }; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -64,8 +82,9 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run 'Idle|Pool|Stress|Scheduler' ./internal/appia
 
-# golden replays the virtualized experiments (figure3, E5, E6, E9, E10)
-# three times each and checks the counter-matrix hashes against the pins in
+# golden replays every experiment family (figure3, E4 through E11, at
+# reduced scale) three times each on the virtual clock and checks the
+# counter-matrix hashes against the pins in
 # internal/experiment/testdata/golden.json. Regenerate pins after an
 # intentional behavior change with:
 #   go test ./internal/experiment -run TestGoldenReplay -update-golden

@@ -96,8 +96,8 @@ func BenchmarkControlOverhead(b *testing.B) {
 	b.ReportMetric(control, "control-msgs")
 }
 
-// BenchmarkReconfigLatency is E4: decision-to-deployment latency of the
-// §3.3 reconfiguration procedure.
+// BenchmarkReconfigLatency is E4: decision-to-deployment latency, in virtual
+// time, of the §3.3 reconfiguration procedure.
 func BenchmarkReconfigLatency(b *testing.B) {
 	for _, n := range []int{2, 4, 6, 9} {
 		b.Run(sizeName(n), func(b *testing.B) {

@@ -6,7 +6,8 @@
 // messages while the Morpheus control plane detects the hybrid context and
 // reconfigures the group from the plain fan-out stack to Mecho; the
 // transcript and the final per-node transmission counters are printed, so
-// the adaptation's effect is directly visible.
+// the adaptation's effect is directly visible. The simulation runs on a
+// virtual clock with a fixed seed, so equal flags print equal output.
 //
 // Usage:
 //
@@ -27,6 +28,9 @@ import (
 	"morpheus/internal/vnet"
 )
 
+// worldSeed seeds the simulated network's loss and jitter draws.
+const worldSeed = 1
+
 func main() {
 	os.Exit(run())
 }
@@ -45,10 +49,16 @@ func run() int {
 		return 2
 	}
 
-	w := morpheus.NewWorld(time.Now().UnixNano()) //lint:wallclock-ok wall-clock entropy seeds the demo world
+	// run is the clock's first actor; see DESIGN.md "Clock actors".
+	clk := morpheus.NewVirtualClock()
+	defer clk.Stop()
+	w := morpheus.NewWorld(worldSeed, clk)
 	defer w.Close()
-	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
-	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
+	// Links take virtual time to cross (zero-latency segments would report
+	// every adaptation as taking 0 s): a wired hop costs 1 ms, a wireless
+	// one 5 ms.
+	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true, Latency: time.Millisecond})
+	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true, Latency: 5 * time.Millisecond})
 
 	var members []morpheus.NodeID
 	for i := 1; i <= *nFixed; i++ {
@@ -102,28 +112,33 @@ func run() int {
 	fmt.Printf("chat: %d fixed + %d mobile participants; initial stack %q\n",
 		*nFixed, *nMobile, users[0].node.ConfigName())
 
-	var wg sync.WaitGroup
+	// Each user's script is a clock actor, paced in virtual time.
+	var dones []chan struct{}
 	for _, u := range users {
 		u := u
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		done := make(chan struct{})
+		dones = append(dones, done)
+		clk.Go(func() {
+			defer close(done)
 			script := chat.Script{
 				Count: *lines,
 				Rate:  *rate,
 				Line:  func(i int) string { return fmt.Sprintf("%s says hello #%d", u.name, i) },
+				Clock: clk,
 			}
 			if err := script.Run(u.client); err != nil {
 				fmt.Fprintln(os.Stderr, "morpheus-chat:", err)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	for _, done := range dones {
+		clk.Wait(done)
+	}
 
 	// Wait for full delivery everywhere.
 	want := *lines * len(users)
-	deadline := time.Now().Add(30 * time.Second) //lint:wallclock-ok CLI waits in real time for live delivery
-	for time.Now().Before(deadline) {            //lint:wallclock-ok CLI waits in real time for live delivery
+	deadline := clk.Now().Add(30 * time.Second)
+	for clk.Now().Before(deadline) {
 		done := true
 		for _, u := range users {
 			if u.client.Delivered() < want {
@@ -134,7 +149,7 @@ func run() int {
 		if done {
 			break
 		}
-		time.Sleep(10 * time.Millisecond) //lint:wallclock-ok real-time polling backoff
+		clk.Sleep(10 * time.Millisecond)
 	}
 
 	fmt.Printf("\nsummary (final stack %q):\n", users[0].node.ConfigName())

@@ -25,7 +25,10 @@ func main() {
 }
 
 func run() error {
-	w := morpheus.NewWorld(21)
+	// main is the clock's first actor; see DESIGN.md "Clock actors".
+	clk := morpheus.NewVirtualClock()
+	defer clk.Stop()
+	w := morpheus.NewWorld(21, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 
@@ -85,7 +88,7 @@ func run() error {
 
 	// Loss spikes: the policy must mask instead of retransmit.
 	setLoss(0.15)
-	if err := waitConfig(nodes, core.FecConfigName); err != nil {
+	if err := waitConfig(clk, nodes, core.FecConfigName); err != nil {
 		return err
 	}
 	report("after loss spike to 15%:")
@@ -94,11 +97,11 @@ func run() error {
 			return err
 		}
 	}
-	time.Sleep(300 * time.Millisecond) //lint:wallclock-ok demo paces real traffic on the wall clock
+	clk.Sleep(300 * time.Millisecond)
 
 	// Link recovers: back to detect-and-retransmit.
 	setLoss(0.002)
-	if err := waitConfig(nodes, core.ArqConfigName); err != nil {
+	if err := waitConfig(clk, nodes, core.ArqConfigName); err != nil {
 		return err
 	}
 	report("after link recovery:")
@@ -106,9 +109,10 @@ func run() error {
 	return nil
 }
 
-func waitConfig(nodes []*morpheus.Node, want string) error {
-	deadline := time.Now().Add(30 * time.Second) //lint:wallclock-ok demo waits in real time for convergence
-	for time.Now().Before(deadline) {            //lint:wallclock-ok demo waits in real time for convergence
+// waitConfig polls, in virtual time, until every node runs the want stack.
+func waitConfig(clk *morpheus.VirtualClock, nodes []*morpheus.Node, want string) error {
+	deadline := clk.Now().Add(30 * time.Second)
+	for clk.Now().Before(deadline) {
 		done := true
 		for _, n := range nodes {
 			if n.ConfigName() != want {
@@ -119,7 +123,7 @@ func waitConfig(nodes []*morpheus.Node, want string) error {
 		if done {
 			return nil
 		}
-		time.Sleep(10 * time.Millisecond) //lint:wallclock-ok real-time polling backoff
+		clk.Sleep(10 * time.Millisecond)
 	}
 	return fmt.Errorf("group never converged on %q", want)
 }

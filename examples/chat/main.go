@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"morpheus"
@@ -24,7 +25,10 @@ func main() {
 }
 
 func run() error {
-	w := morpheus.NewWorld(7)
+	// main is the clock's first actor; see DESIGN.md "Clock actors".
+	clk := morpheus.NewVirtualClock()
+	defer clk.Stop()
+	w := morpheus.NewWorld(7, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
@@ -33,7 +37,9 @@ func run() error {
 	kinds := map[morpheus.NodeID]morpheus.Kind{1: morpheus.Fixed, 2: morpheus.Fixed, 100: morpheus.Mobile}
 	names := map[morpheus.NodeID]string{1: "ana", 2: "bruno", 100: "carla(pda)"}
 
-	adapted := make(chan string, 1)
+	var adaptedOnce sync.Once
+	adapted := make(chan struct{})
+	var adaptedCfg string
 	clients := make(map[morpheus.NodeID]*chat.Client)
 	nodes := make(map[morpheus.NodeID]*morpheus.Node)
 	for _, id := range members {
@@ -55,10 +61,10 @@ func run() error {
 			PublishOnChange: true,
 			OnMessage:       client.Receive,
 			OnReconfigured: func(epoch uint64, cfg string, took time.Duration) {
-				select {
-				case adapted <- cfg:
-				default:
-				}
+				adaptedOnce.Do(func() {
+					adaptedCfg = cfg
+					close(adapted)
+				})
 			},
 		})
 		if err != nil {
@@ -74,14 +80,12 @@ func run() error {
 	if err := clients[100].Say("hi everyone, typing from the PDA"); err != nil {
 		return err
 	}
-	waitDelivered(clients, 1)
+	waitDelivered(clk, clients, 1)
 
-	select {
-	case cfg := <-adapted:
-		fmt.Printf("-- Morpheus adapted the stack to %q (hybrid group detected)\n", cfg)
-	case <-time.After(20 * time.Second): //lint:wallclock-ok wall timeout for a live adaptation
+	if !clk.WaitTimeout(adapted, 20*time.Second) {
 		return fmt.Errorf("adaptation never happened")
 	}
+	fmt.Printf("-- Morpheus adapted the stack to %q (hybrid group detected)\n", adaptedCfg)
 
 	// Reset counters so the post-adaptation economics are visible.
 	for _, n := range nodes {
@@ -96,7 +100,7 @@ func run() error {
 	if err := clients[1].Say("got you loud and clear"); err != nil {
 		return err
 	}
-	waitDelivered(clients, 7)
+	waitDelivered(clk, clients, 7)
 
 	fmt.Println("-- transmission counters for the 5 PDA messages + 1 PC message:")
 	for _, id := range members {
@@ -108,9 +112,11 @@ func run() error {
 	return nil
 }
 
-func waitDelivered(clients map[morpheus.NodeID]*chat.Client, want int) {
-	deadline := time.Now().Add(15 * time.Second) //lint:wallclock-ok demo waits in real time for delivery
-	for time.Now().Before(deadline) {            //lint:wallclock-ok demo waits in real time for delivery
+// waitDelivered polls, in virtual time, until every client has delivered
+// want messages.
+func waitDelivered(clk *morpheus.VirtualClock, clients map[morpheus.NodeID]*chat.Client, want int) {
+	deadline := clk.Now().Add(15 * time.Second)
+	for clk.Now().Before(deadline) {
 		done := true
 		for _, c := range clients {
 			if c.Delivered() < want {
@@ -121,6 +127,6 @@ func waitDelivered(clients map[morpheus.NodeID]*chat.Client, want int) {
 		if done {
 			return
 		}
-		time.Sleep(5 * time.Millisecond) //lint:wallclock-ok real-time polling backoff
+		clk.Sleep(5 * time.Millisecond)
 	}
 }

@@ -23,7 +23,10 @@ func main() {
 }
 
 func run() error {
-	w := morpheus.NewWorld(33)
+	// main is the clock's first actor; see DESIGN.md "Clock actors".
+	clk := morpheus.NewVirtualClock()
+	defer clk.Stop()
+	w := morpheus.NewWorld(33, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
 
@@ -55,7 +58,7 @@ func run() error {
 	}
 
 	// Let the context spread, then chat until the first battery dies.
-	time.Sleep(250 * time.Millisecond) //lint:wallclock-ok let the shared context spread in real time
+	clk.Sleep(250 * time.Millisecond)
 	casts := 0
 	for {
 		dead := false
@@ -70,7 +73,7 @@ func run() error {
 		if err := nodes[casts%len(nodes)].Send([]byte(fmt.Sprintf("m%d", casts))); err == nil {
 			casts++
 		}
-		time.Sleep(2 * time.Millisecond) //lint:wallclock-ok demo paces real traffic on the wall clock
+		clk.Sleep(2 * time.Millisecond)
 		if casts%100 == 0 {
 			printBatteries(nodes)
 		}

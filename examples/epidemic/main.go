@@ -27,7 +27,10 @@ func run() error {
 	const n = 32
 	const messages = 30
 
-	w := morpheus.NewWorld(55)
+	// main is the clock's first actor; see DESIGN.md "Clock actors".
+	clk := morpheus.NewVirtualClock()
+	defer clk.Stop()
+	w := morpheus.NewWorld(55, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 
@@ -65,8 +68,8 @@ func run() error {
 		}
 	}
 
-	deadline := time.Now().Add(30 * time.Second) //lint:wallclock-ok demo waits in real time for gossip convergence
-	for time.Now().Before(deadline) {            //lint:wallclock-ok demo waits in real time for gossip convergence
+	deadline := clk.Now().Add(30 * time.Second)
+	for clk.Now().Before(deadline) {
 		mu.Lock()
 		done := true
 		for _, id := range members {
@@ -79,7 +82,7 @@ func run() error {
 		if done {
 			break
 		}
-		time.Sleep(10 * time.Millisecond) //lint:wallclock-ok real-time polling backoff
+		clk.Sleep(10 * time.Millisecond)
 	}
 
 	// Compare data-class traffic only: the stability gossip and heartbeats

@@ -24,8 +24,13 @@ func main() {
 }
 
 func run() error {
-	// A deterministic virtual network with one wired segment.
-	w := morpheus.NewWorld(42)
+	// A deterministic virtual network with one wired segment. main is the
+	// virtual clock's first actor: it waits only through clk, and its
+	// defers close the nodes, then the world, then stop the clock (DESIGN.md
+	// "Clock actors").
+	clk := morpheus.NewVirtualClock()
+	defer clk.Stop()
+	w := morpheus.NewWorld(42, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 
@@ -83,8 +88,8 @@ func run() error {
 	}
 
 	// Wait until everyone has all three messages in both groups.
-	deadline := time.Now().Add(10 * time.Second) //lint:wallclock-ok demo waits in real time for delivery
-	for time.Now().Before(deadline) {            //lint:wallclock-ok demo waits in real time for delivery
+	deadline := clk.Now().Add(10 * time.Second)
+	for clk.Now().Before(deadline) {
 		mu.Lock()
 		done := true
 		for _, id := range members {
@@ -96,7 +101,7 @@ func run() error {
 		if done {
 			break
 		}
-		time.Sleep(5 * time.Millisecond) //lint:wallclock-ok real-time polling backoff
+		clk.Sleep(5 * time.Millisecond)
 	}
 
 	mu.Lock()

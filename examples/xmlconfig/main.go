@@ -13,6 +13,7 @@ import (
 
 	"morpheus/internal/appia"
 	"morpheus/internal/appia/appiaxml"
+	"morpheus/internal/clock"
 	"morpheus/internal/group"
 	"morpheus/internal/stack"
 	"morpheus/internal/vnet"
@@ -48,7 +49,10 @@ func run() error {
 		return err
 	}
 
-	w := vnet.NewWorld(99)
+	// main is the clock's first actor; see DESIGN.md "Clock actors".
+	clk := clock.NewVirtual()
+	defer clk.Stop()
+	w := vnet.NewWorld(99, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 
@@ -65,9 +69,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		m := &member{sched: appia.NewScheduler()}
+		m := &member{sched: appia.NewSchedulerWithClock(clk)}
 		m.mgr = stack.NewManager(stack.ManagerConfig{
-			Node: vn, Self: id, Scheduler: m.sched,
+			Node: vn, Self: id, Scheduler: m.sched, Clock: clk,
 			OnDeliver: func(ev *group.CastEvent) {
 				m.mu.Lock()
 				m.order = append(m.order, string(ev.Msg.Bytes()))
@@ -85,25 +89,29 @@ func run() error {
 		nodes = append(nodes, m)
 	}
 
-	// Three senders race: total order must still agree everywhere.
+	// Three senders race, each a clock actor: total order must still agree
+	// everywhere.
 	const k = 5
-	var wg sync.WaitGroup
+	var dones []chan struct{}
 	for i, m := range nodes {
 		i, m := i, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		done := make(chan struct{})
+		dones = append(dones, done)
+		clk.Go(func() {
+			defer close(done)
 			for j := 0; j < k; j++ {
 				if err := m.mgr.Send([]byte(fmt.Sprintf("n%d-%d", i+1, j))); err != nil {
 					fmt.Fprintln(os.Stderr, "send:", err)
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	for _, done := range dones {
+		clk.Wait(done)
+	}
 
-	deadline := time.Now().Add(15 * time.Second) //lint:wallclock-ok demo waits in real time for reconfiguration
-	for time.Now().Before(deadline) {            //lint:wallclock-ok demo waits in real time for reconfiguration
+	deadline := clk.Now().Add(15 * time.Second)
+	for clk.Now().Before(deadline) {
 		done := true
 		for _, m := range nodes {
 			m.mu.Lock()
@@ -115,7 +123,7 @@ func run() error {
 		if done {
 			break
 		}
-		time.Sleep(5 * time.Millisecond) //lint:wallclock-ok real-time polling backoff
+		clk.Sleep(5 * time.Millisecond)
 	}
 
 	fmt.Println("stack deployed from XML:", doc.Channels[0].QoS)

@@ -270,7 +270,7 @@ func Run(seed int64, opts Options) (Result, error) {
 
 	clk := clock.NewVirtual()
 	defer clk.Stop()
-	world := vnet.NewWorldWithClock(seed, clk)
+	world := vnet.NewWorld(seed, clk)
 	defer world.Close()
 	world.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	world.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Virtual is a deterministic discrete-event clock. It owns a timer heap (the
-// generalization of the vnet delivery heap: latency-delayed frames, protocol
-// timeouts and driver sleeps are all just entries ordered by (deadline,
-// registration sequence)) and a cooperative execution regime:
+// Virtual is a deterministic discrete-event clock. It owns a timer heap
+// (latency-delayed vnet frames, protocol timeouts and driver sleeps are all
+// just entries ordered by (deadline, registration sequence)) and a
+// cooperative execution regime:
 //
 //   - Every goroutine that mutates simulation state is an *actor*. At most
 //     one actor runs at a time; the rest are parked waiting for the run

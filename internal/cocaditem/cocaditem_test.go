@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/clock"
 	"morpheus/internal/group"
 	"morpheus/internal/transport"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // ctxNode runs a minimal control stack: ptp → fanout → nak → gms → cocaditem.
@@ -21,10 +23,9 @@ type ctxNode struct {
 	sess  *Session
 }
 
-func buildCtxCluster(t *testing.T, n int, mkRetrievers func(id appia.NodeID, vn *vnet.Node) []Retriever, interval time.Duration, onChange bool) []*ctxNode {
+func buildCtxCluster(t *testing.T, n int, mkRetrievers func(id appia.NodeID, vn *vnet.Node) []Retriever, interval time.Duration, onChange bool) ([]*ctxNode, *clock.Virtual) {
 	t.Helper()
-	w := vnet.NewWorld(4)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 4)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
 	group.RegisterWireEvents(nil)
@@ -44,15 +45,16 @@ func buildCtxCluster(t *testing.T, n int, mkRetrievers func(id appia.NodeID, vn 
 		if err != nil {
 			t.Fatal(err)
 		}
-		cn := &ctxNode{id: id, node: vn, sched: appia.NewScheduler()}
+		cn := &ctxNode{id: id, node: vn, sched: appia.NewSchedulerWithClock(clk)}
 		t.Cleanup(cn.sched.Close)
 		q, err := appia.NewQoS("ctl",
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "ctl", Logf: t.Logf}),
 			group.NewFanoutLayer(group.FanoutConfig{Self: id, InitialMembers: members}),
 			group.NewNakLayer(group.NakConfig{Self: id, InitialMembers: members, NackDelay: 10 * time.Millisecond, StableInterval: 40 * time.Millisecond}),
-			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members}),
+			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members, Clock: clk}),
 			NewLayer(Config{
 				Self:            id,
+				Clock:           clk,
 				Interval:        interval,
 				Retrievers:      mkRetrievers(id, vn),
 				PublishOnChange: onChange,
@@ -77,30 +79,18 @@ func buildCtxCluster(t *testing.T, n int, mkRetrievers func(id appia.NodeID, vn 
 		}
 		cn.sess = s
 	}
-	return nodes
-}
-
-func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(3 * time.Millisecond)
-	}
-	t.Fatalf("condition never held: %s", what)
+	return nodes, clk
 }
 
 func TestDisseminatesToAllNodes(t *testing.T) {
-	nodes := buildCtxCluster(t, 3, func(id appia.NodeID, vn *vnet.Node) []Retriever {
+	nodes, clk := buildCtxCluster(t, 3, func(id appia.NodeID, vn *vnet.Node) []Retriever {
 		return []Retriever{DeviceClassRetriever(vn)}
 	}, 20*time.Millisecond, false)
 
 	// Every node must learn every other node's device class.
 	for _, cn := range nodes {
 		cn := cn
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d sees all classes", cn.id), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d sees all classes", cn.id), func() bool {
 			for _, other := range nodes {
 				if _, ok := cn.sess.Latest(TopicDeviceClass, other.id); !ok {
 					return false
@@ -117,10 +107,10 @@ func TestDisseminatesToAllNodes(t *testing.T) {
 }
 
 func TestSnapshotIsolation(t *testing.T) {
-	nodes := buildCtxCluster(t, 2, func(id appia.NodeID, vn *vnet.Node) []Retriever {
+	nodes, clk := buildCtxCluster(t, 2, func(id appia.NodeID, vn *vnet.Node) []Retriever {
 		return []Retriever{BatteryRetriever(vn)}
 	}, 20*time.Millisecond, false)
-	eventually(t, 5*time.Second, "battery known", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "battery known", func() bool {
 		snap := nodes[0].sess.Snapshot()
 		return len(snap[TopicBattery]) == 2
 	})
@@ -133,32 +123,28 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 func TestSubscribersNotified(t *testing.T) {
-	nodes := buildCtxCluster(t, 2, func(id appia.NodeID, vn *vnet.Node) []Retriever {
+	nodes, clk := buildCtxCluster(t, 2, func(id appia.NodeID, vn *vnet.Node) []Retriever {
 		return []Retriever{DeviceClassRetriever(vn)}
 	}, 15*time.Millisecond, false)
-	got := make(chan Sample, 16)
+	got := make(chan struct{}, 1)
 	nodes[0].sess.Subscribe(TopicDeviceClass, func(s Sample) {
 		select {
-		case got <- s:
+		case got <- struct{}{}:
 		default:
 		}
 	})
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
+	if !clk.WaitTimeout(got, 5*time.Second) {
 		t.Fatal("subscriber never notified")
 	}
 	// Wildcard subscription.
-	all := make(chan Sample, 16)
+	all := make(chan struct{}, 1)
 	nodes[0].sess.Subscribe("", func(s Sample) {
 		select {
-		case all <- s:
+		case all <- struct{}{}:
 		default:
 		}
 	})
-	select {
-	case <-all:
-	case <-time.After(5 * time.Second):
+	if !clk.WaitTimeout(all, 5*time.Second) {
 		t.Fatal("wildcard subscriber never notified")
 	}
 }
@@ -166,7 +152,7 @@ func TestSubscribersNotified(t *testing.T) {
 func TestPublishOnChangeSuppressesSteadyState(t *testing.T) {
 	val := 0.5
 	var mu sync.Mutex
-	nodes := buildCtxCluster(t, 2, func(id appia.NodeID, vn *vnet.Node) []Retriever {
+	nodes, clk := buildCtxCluster(t, 2, func(id appia.NodeID, vn *vnet.Node) []Retriever {
 		return []Retriever{FuncRetriever{TopicName: "x", Fn: func() (float64, string) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -174,14 +160,14 @@ func TestPublishOnChangeSuppressesSteadyState(t *testing.T) {
 		}}}
 	}, 10*time.Millisecond, true)
 
-	eventually(t, 5*time.Second, "initial publish", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "initial publish", func() bool {
 		_, ok := nodes[1].sess.Latest("x", 1)
 		return ok
 	})
 	// Count publishes over a quiet window: only keepalives may appear
 	// (every 10th tick), far fewer than every tick.
 	before := nodes[0].node.Counters().Tx["control"].Msgs
-	time.Sleep(200 * time.Millisecond)
+	clk.Sleep(200 * time.Millisecond)
 	after := nodes[0].node.Counters().Tx["control"].Msgs
 	// 200ms at 10ms interval = 20 ticks. Unsuppressed would publish ~20
 	// messages for this topic alone (plus stability); with suppression we
@@ -193,15 +179,14 @@ func TestPublishOnChangeSuppressesSteadyState(t *testing.T) {
 	mu.Lock()
 	val = 0.9
 	mu.Unlock()
-	eventually(t, 5*time.Second, "change propagates", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "change propagates", func() bool {
 		sm, ok := nodes[1].sess.Latest("x", 1)
 		return ok && sm.Num > 0.8
 	})
 }
 
 func TestBuiltinRetrievers(t *testing.T) {
-	w := vnet.NewWorld(9)
-	t.Cleanup(func() { _ = w.Close() })
+	w, _ := vnettest.World(t, 9)
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
 	vn, err := w.AddNode(1, vnet.Mobile, "wlan")
 	if err != nil {

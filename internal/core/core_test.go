@@ -13,6 +13,7 @@ import (
 	"morpheus/internal/stack"
 	"morpheus/internal/transport"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // --- Config document tests ---------------------------------------------------
@@ -41,14 +42,13 @@ func TestConfigDocumentsParse(t *testing.T) {
 }
 
 func TestConfigDocumentsBuildable(t *testing.T) {
-	w := vnet.NewWorld(1)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 1)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	vn, err := w.AddNode(1, vnet.Fixed, "lan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := appia.NewScheduler()
+	sched := appia.NewSchedulerWithClock(clk)
 	t.Cleanup(sched.Close)
 	reg := stack.NewStandardRegistry()
 	stack.RegisterAllWireEvents(nil)
@@ -63,7 +63,7 @@ func TestConfigDocumentsBuildable(t *testing.T) {
 		}
 		env := &appiaxml.Env{
 			Node: vn, Self: 1, Members: []appia.NodeID{1, 2},
-			Port: "p", Scheduler: sched, Logf: t.Logf,
+			Port: "p", Scheduler: sched, Clock: clk, Logf: t.Logf,
 		}
 		ch, err := appiaxml.BuildChannel(spec, reg, env)
 		if err != nil {
@@ -267,15 +267,15 @@ func TestStaticPolicy(t *testing.T) {
 // TestCoreControlLoop drives a 2-node control channel with a static policy
 // and verifies the prepare/deploy/ack cycle completes.
 func TestCoreControlLoop(t *testing.T) {
-	w := vnet.NewWorld(3)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 3)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	stack.RegisterAllWireEvents(nil)
 	cocaditem.RegisterWireEvents(nil)
 	RegisterWireEvents(nil)
 
 	members := []appia.NodeID{1, 2}
-	done := make(chan uint64, 2)
+	var mu sync.Mutex
+	var epochs []uint64 // completed reconfigurations, in order
 	var closers []func()
 	t.Cleanup(func() {
 		for _, c := range closers {
@@ -289,9 +289,9 @@ func TestCoreControlLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := appia.NewScheduler()
+		sched := appia.NewSchedulerWithClock(clk)
 		mgr := stack.NewManager(stack.ManagerConfig{
-			Node: vn, Self: id, Scheduler: sched,
+			Node: vn, Self: id, Scheduler: sched, Clock: clk,
 			Logf: func(string, ...any) {},
 		})
 		if err := mgr.Deploy(PlainConfig(), PlainConfigName, 1, members); err != nil {
@@ -302,10 +302,11 @@ func TestCoreControlLoop(t *testing.T) {
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "ctl", Logf: t.Logf}),
 			group.NewFanoutLayer(group.FanoutConfig{Self: id, InitialMembers: members}),
 			group.NewNakLayer(group.NakConfig{Self: id, InitialMembers: members, NackDelay: 10 * time.Millisecond, StableInterval: 40 * time.Millisecond}),
-			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members}),
-			cocaditem.NewLayer(cocaditem.Config{Self: id, Interval: 20 * time.Millisecond, Retrievers: []cocaditem.Retriever{cocaditem.DeviceClassRetriever(vn)}}),
+			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members, Clock: clk}),
+			cocaditem.NewLayer(cocaditem.Config{Self: id, Interval: 20 * time.Millisecond, Clock: clk, Retrievers: []cocaditem.Retriever{cocaditem.DeviceClassRetriever(vn)}}),
 			NewLayer(Config{
-				Self: id,
+				Self:  id,
+				Clock: clk,
 				Groups: []GroupRuntime{{
 					Group:   DefaultGroup,
 					Manager: mgr,
@@ -314,7 +315,9 @@ func TestCoreControlLoop(t *testing.T) {
 						return Decision{ConfigName: MechoConfigName(1), Doc: MechoConfig(1)}
 					}}},
 					OnReconfigured: func(epoch uint64, name string, took time.Duration) {
-						done <- epoch
+						mu.Lock()
+						epochs = append(epochs, epoch)
+						mu.Unlock()
 					},
 				}},
 				EvalInterval: 30 * time.Millisecond,
@@ -334,22 +337,23 @@ func TestCoreControlLoop(t *testing.T) {
 		})
 	}
 
-	select {
-	case epoch := <-done:
-		if epoch != 2 {
-			t.Fatalf("epoch = %d", epoch)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("control loop never completed a reconfiguration")
+	vnettest.Eventually(t, clk, 20*time.Second, "control loop completes a reconfiguration", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(epochs) > 0
+	})
+	mu.Lock()
+	epoch := epochs[0]
+	mu.Unlock()
+	if epoch != 2 {
+		t.Fatalf("epoch = %d", epoch)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := clk.Now().Add(10 * time.Second)
+	for clk.Now().Before(deadline) {
 		if managers[0].ConfigName() == MechoConfigName(1) && managers[1].ConfigName() == MechoConfigName(1) {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		clk.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("managers = %q, %q", managers[0].ConfigName(), managers[1].ConfigName())
 }
-
-var _ sync.Mutex // keep sync imported if assertions above change

@@ -37,7 +37,7 @@ func buildGossipCluster(t *testing.T, n, fanout, rounds int) ([]*gossipNode, *cl
 	t.Helper()
 	clk := clock.NewVirtual()
 	t.Cleanup(clk.Stop)
-	w := vnet.NewWorldWithClock(6, clk)
+	w := vnet.NewWorld(6, clk)
 	t.Cleanup(func() { _ = w.Close() })
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	group.RegisterWireEvents(nil)

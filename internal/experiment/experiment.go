@@ -58,8 +58,8 @@ func waitFor(clk clock.Clock, timeout time.Duration, cond func() bool) bool {
 }
 
 // hybridWorld builds the paper's two-segment testbed on the given clock.
-func hybridWorld(seed int64, clk clock.Clock) *vnet.World {
-	w := vnet.NewWorldWithClock(seed, clk)
+func hybridWorld(seed int64, clk *clock.Virtual) *vnet.World {
+	w := vnet.NewWorld(seed, clk)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
 	return w

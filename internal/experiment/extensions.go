@@ -23,7 +23,7 @@ type ReconfigRow struct {
 	Latency time.Duration
 }
 
-// RunReconfigLatency measures, per group size, the wall time from the
+// RunReconfigLatency measures, per group size, the virtual time from the
 // coordinator's decision to the last member's deployment acknowledgement —
 // the cost of the §3.3 procedure (trigger view change, flush to
 // quiescence, ship XML, rebuild, resume).
@@ -33,52 +33,71 @@ func RunReconfigLatency(sizes []int, timeout time.Duration, seed int64) ([]Recon
 	}
 	rows := make([]ReconfigRow, 0, len(sizes))
 	for _, n := range sizes {
-		w := hybridWorld(seed+int64(n), nil)
-		members := hybridMembers(n)
-		tookCh := make(chan time.Duration, 4)
-		var nodes []*morpheus.Node
-		for _, id := range members {
-			kind, seg := vnet.Fixed, "lan"
-			if id == MobileID {
-				kind, seg = vnet.Mobile, "wlan"
-			}
-			nd, err := morpheus.Start(morpheus.Config{
-				World: w, ID: id, Kind: kind, Segments: []string{seg},
-				Members:         members,
-				Policies:        []morpheus.Policy{core.HybridMechoPolicy{}},
-				ContextInterval: 30 * time.Millisecond,
-				EvalInterval:    50 * time.Millisecond,
-				PublishOnChange: true,
-				OnReconfigured: func(epoch uint64, name string, took time.Duration) {
-					select {
-					case tookCh <- took:
-					default:
-					}
-				},
-			})
-			if err != nil {
-				w.Close()
-				return nil, err
-			}
-			nodes = append(nodes, nd)
+		took, err := runReconfigLatency(n, timeout, seed)
+		if err != nil {
+			return nil, err
 		}
-		var took time.Duration
-		select {
-		case took = <-tookCh:
-		case <-clock.Wall().After(timeout):
-			for _, nd := range nodes {
-				_ = nd.Close()
-			}
-			w.Close()
-			return nil, fmt.Errorf("reconfig latency n=%d: never completed", n)
-		}
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-		w.Close()
 		rows = append(rows, ReconfigRow{Nodes: n, Latency: took})
 	}
 	return rows, nil
+}
+
+func runReconfigLatency(n int, timeout time.Duration, seed int64) (time.Duration, error) {
+	clk := clock.NewVirtual()
+	defer clk.Stop()
+	w := hybridWorld(seed+int64(n), clk)
+	defer w.Close()
+	// Zero-latency links take no virtual time, so a reconfiguration over
+	// hybridWorld's segments would measure 0 s: E4's links get a wired
+	// and a wireless propagation delay.
+	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true, Latency: time.Millisecond})
+	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true, Latency: 5 * time.Millisecond})
+	members := hybridMembers(n)
+
+	var mu sync.Mutex
+	took := time.Duration(-1) // the first completed reconfiguration's latency
+	var nodes []*morpheus.Node
+	defer func() {
+		for _, nd := range nodes {
+			_ = nd.Close()
+		}
+	}()
+	for _, id := range members {
+		kind, seg := vnet.Fixed, "lan"
+		if id == MobileID {
+			kind, seg = vnet.Mobile, "wlan"
+		}
+		nd, err := morpheus.Start(morpheus.Config{
+			World: w, ID: id, Kind: kind, Segments: []string{seg},
+			Members:         members,
+			Policies:        []morpheus.Policy{core.HybridMechoPolicy{}},
+			ContextInterval: 30 * time.Millisecond,
+			EvalInterval:    50 * time.Millisecond,
+			PublishOnChange: true,
+			OnReconfigured: func(epoch uint64, name string, d time.Duration) {
+				mu.Lock()
+				if took < 0 {
+					took = d
+				}
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			return 0, err
+		}
+		nodes = append(nodes, nd)
+	}
+	completed := waitFor(clk, timeout, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return took >= 0
+	})
+	if !completed {
+		return 0, fmt.Errorf("reconfig latency n=%d: never completed", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return took, nil
 }
 
 // --- E5: multicast strategies at scale -------------------------------------
@@ -155,7 +174,7 @@ type bebNode struct {
 func runStrategy(n int, strat string, cfg StrategyConfig) (StrategyRow, error) {
 	clk := clock.NewVirtual()
 	defer clk.Stop()
-	w := vnet.NewWorldWithClock(cfg.Seed+int64(n), clk)
+	w := vnet.NewWorld(cfg.Seed+int64(n), clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true, Loss: cfg.Loss})
 	group.RegisterWireEvents(nil)
@@ -328,7 +347,7 @@ func RunEnergyLifetime(cfg EnergyConfig) ([]EnergyRow, error) {
 func runEnergyMode(mode string, cfg EnergyConfig) (EnergyRow, error) {
 	clk := clock.NewVirtual()
 	defer clk.Stop()
-	w := vnet.NewWorldWithClock(cfg.Seed, clk)
+	w := vnet.NewWorld(cfg.Seed, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
 
@@ -477,7 +496,9 @@ func RunErrorRecovery(cfg ErrorRecoveryConfig) ([]ErrorRecoveryRow, error) {
 }
 
 func runErrorRecovery(strat string, loss float64, cfg ErrorRecoveryConfig) (ErrorRecoveryRow, error) {
-	w := vnet.NewWorld(cfg.Seed)
+	clk := clock.NewVirtual()
+	defer clk.Stop()
+	w := vnet.NewWorld(cfg.Seed, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", Loss: loss})
 
@@ -506,7 +527,7 @@ func runErrorRecovery(strat string, loss float64, cfg ErrorRecoveryConfig) (Erro
 		nodes = append(nodes, nd)
 	}
 
-	start := clock.Wall().Now()
+	start := clk.Now()
 	sender := nodes[0]
 	for i := 0; i < cfg.Messages; i++ {
 		if err := sender.send(mkPayload(i)); err != nil {
@@ -516,13 +537,13 @@ func runErrorRecovery(strat string, loss float64, cfg ErrorRecoveryConfig) (Erro
 	// ARQ converges to full delivery; FEC plateaus. Wait for stability.
 	expected := cfg.Messages * (cfg.Nodes - 1)
 	if strat == "arq" {
-		waitFor(clock.Wall(), cfg.Timeout, func() bool {
+		waitFor(clk, cfg.Timeout, func() bool {
 			return receiversDelivered(nodes, sender) >= expected
 		})
 	} else {
-		waitStable(clock.Wall(), cfg.Timeout, func() int { return receiversDelivered(nodes, sender) })
+		waitStable(clk, cfg.Timeout, func() int { return receiversDelivered(nodes, sender) })
 	}
-	elapsed := clock.Wall().Since(start)
+	elapsed := clk.Since(start)
 
 	row := ErrorRecoveryRow{Loss: loss, Strategy: strat, Elapsed: elapsed}
 	for _, nd := range nodes {
@@ -580,7 +601,9 @@ func RunFlushAblation(messages int, seed int64) ([]FlushAblationRow, error) {
 }
 
 func runFlushMode(mode string, messages int, seed int64) (FlushAblationRow, error) {
-	w := hybridWorld(seed, nil)
+	clk := clock.NewVirtual()
+	defer clk.Stop()
+	w := hybridWorld(seed, clk)
 	defer w.Close()
 	members := hybridMembers(3)
 
@@ -625,10 +648,10 @@ func runFlushMode(mode string, messages int, seed int64) (FlushAblationRow, erro
 		if err := sender.Send(mkPayload(i)); err != nil {
 			return FlushAblationRow{}, err
 		}
-		clock.Wall().Sleep(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 	}
 	// Allow late repairs to finish.
-	waitStable(clock.Wall(), 20*time.Second, func() int {
+	waitStable(clk, 20*time.Second, func() int {
 		total := 0
 		for _, c := range counters {
 			total += c.get()
@@ -644,6 +667,3 @@ func runFlushMode(mode string, messages int, seed int64) (FlushAblationRow, erro
 	row.Lost = row.Sent - row.MinGotAll
 	return row, nil
 }
-
-// guard against unused imports during refactors.
-var _ sync.Mutex

@@ -46,11 +46,13 @@ func RunGolden(r GoldenRunner, seed int64) (GoldenResult, error) {
 	return finish(r.Name, matrix), nil
 }
 
-// GoldenRunners returns the golden suite: the experiment families the
-// virtual clock plane fully virtualizes (figure3, E5 strategies, E6 energy
-// lifetime, E9 multi-group, E10 overload). Scales are reduced so three
-// consecutive replays fit a tier-1 test budget; the quantities are still
-// the ones the paper plots (and, for E10, the bounded-memory marks).
+// GoldenRunners returns the golden suite: every experiment family, since
+// all of them run on the virtual clock plane (figure3, E4 reconfiguration
+// latency, E5 strategies, E6 energy lifetime, E7 error recovery, E8 flush
+// ablation, E9 multi-group, E10 overload, E11 many groups). Scales are
+// reduced so three consecutive replays fit a tier-1 test budget; the
+// quantities are still the ones the paper plots (and, for E10, the
+// bounded-memory marks).
 func GoldenRunners() []GoldenRunner {
 	return []GoldenRunner{
 		{Name: "figure3", Run: goldenFigure3},
@@ -60,7 +62,60 @@ func GoldenRunners() []GoldenRunner {
 		{Name: "e9-multigroup", Run: goldenMultiGroup},
 		{Name: "e10-overload", Run: goldenOverload},
 		{Name: "e11-manygroups", Run: goldenManyGroups},
+		{Name: "e4-reconfig", Run: goldenReconfig},
+		{Name: "e7-error-recovery", Run: goldenErrorRecovery},
+		{Name: "e8-flush-ablation", Run: goldenFlushAblation},
 	}
+}
+
+// goldenReconfig pins E4: the virtual-time latency of the first
+// plain→Mecho reconfiguration at each group size.
+func goldenReconfig(seed int64) (string, error) {
+	rows, err := RunReconfigLatency([]int{2, 3, 4}, 30*time.Second, seed)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "n=%d latency=%d\n", r.Nodes, r.Latency)
+	}
+	return b.String(), nil
+}
+
+// goldenErrorRecovery pins E7 below and above FEC's parity budget, where
+// ARQ's repair traffic and FEC's coverage part ways.
+func goldenErrorRecovery(seed int64) (string, error) {
+	rows, err := RunErrorRecovery(ErrorRecoveryConfig{
+		LossRates: []float64{0.01, 0.20},
+		Nodes:     3,
+		Messages:  120,
+		Timeout:   30 * time.Second,
+		Seed:      seed,
+	})
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "loss=%.3f strat=%s delivery=%.6f total=%d txper=%.6f elapsed=%d\n",
+			r.Loss, r.Strategy, r.DeliveryRatio, r.TotalTx, r.TxPerDelivery, r.Elapsed)
+	}
+	return b.String(), nil
+}
+
+// goldenFlushAblation pins E8: continuity of a stream sent across a
+// reconfiguration with and without the view-synchronous flush.
+func goldenFlushAblation(seed int64) (string, error) {
+	rows, err := RunFlushAblation(150, seed)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "mode=%s sent=%d mingot=%d lost=%d reconfigs=%d\n",
+			r.Mode, r.Sent, r.MinGotAll, r.Lost, r.Reconfigs)
+	}
+	return b.String(), nil
 }
 
 func goldenFigure3(seed int64) (string, error) {

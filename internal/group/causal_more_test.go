@@ -6,27 +6,28 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // TestCausalChainAcrossThreeNodes builds a three-link causal chain
 // a→b→c across distinct senders and checks no member ever sees an effect
 // before its cause.
 func TestCausalChainAcrossThreeNodes(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{causal: true})
+	nodes, clk := buildCluster(t, 3, stackOpts{causal: true})
 	nodes[0].cast(t, "a")
-	eventually(t, 5*time.Second, "node2 saw a", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "node2 saw a", func() bool {
 		g := nodes[1].deliveredList()
 		return len(g) >= 1 && g[len(g)-1] == "a"
 	})
 	nodes[1].cast(t, "b")
-	eventually(t, 5*time.Second, "node3 saw b", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "node3 saw b", func() bool {
 		g := nodes[2].deliveredList()
 		return len(g) >= 1 && g[len(g)-1] == "b"
 	})
 	nodes[2].cast(t, "c")
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d has the chain", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d has the chain", tn.id), func() bool {
 			return len(tn.deliveredList()) == 3
 		})
 		got := tn.deliveredList()
@@ -43,7 +44,7 @@ func TestCausalChainAcrossThreeNodes(t *testing.T) {
 // TestCausalConcurrentMessagesAllDelivered: concurrent (causally unrelated)
 // messages may deliver in any relative order but must all arrive.
 func TestCausalConcurrentMessagesAllDelivered(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{causal: true, loss: 0.1, seed: 23})
+	nodes, clk := buildCluster(t, 3, stackOpts{causal: true, loss: 0.1, seed: 23})
 	const k = 15
 	for i := 0; i < k; i++ {
 		for _, tn := range nodes {
@@ -52,7 +53,7 @@ func TestCausalConcurrentMessagesAllDelivered(t *testing.T) {
 	}
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 15*time.Second, fmt.Sprintf("node %d delivers all %d", tn.id, 3*k), func() bool {
+		vnettest.Eventually(t, clk, 15*time.Second, fmt.Sprintf("node %d delivers all %d", tn.id, 3*k), func() bool {
 			return len(tn.deliveredList()) == 3*k
 		})
 	}
@@ -62,7 +63,7 @@ func TestCausalConcurrentMessagesAllDelivered(t *testing.T) {
 // directly at the GMS level: TriggerFlush{Hold} must block the channel,
 // equalise deliveries, and surface a Quiescent event.
 func TestHoldFlushEmitsQuiescent(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{})
+	nodes, clk := buildCluster(t, 3, stackOpts{})
 	for i := 0; i < 10; i++ {
 		nodes[i%3].cast(t, fmt.Sprintf("pre%02d", i))
 	}
@@ -72,7 +73,7 @@ func TestHoldFlushEmitsQuiescent(t *testing.T) {
 	// Every member must observe quiescence.
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d quiescent", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d quiescent", tn.id), func() bool {
 			tn.mu.Lock()
 			defer tn.mu.Unlock()
 			for _, ev := range tn.events {
@@ -101,7 +102,7 @@ func TestHoldFlushEmitsQuiescent(t *testing.T) {
 	}
 	// Sends issued while held must buffer, not flow.
 	nodes[1].cast(t, "held-back")
-	time.Sleep(100 * time.Millisecond)
+	clk.Sleep(100 * time.Millisecond)
 	for _, tn := range nodes {
 		for _, m := range tn.deliveredList() {
 			if m == "held-back" {
@@ -115,12 +116,12 @@ func TestHoldFlushEmitsQuiescent(t *testing.T) {
 // bounds memory: after gossip rounds, the senders' retransmission buffers
 // shrink to (near) zero.
 func TestStabilityPrunesBuffers(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{})
+	nodes, clk := buildCluster(t, 3, stackOpts{})
 	const k = 50
 	for i := 0; i < k; i++ {
 		nodes[0].cast(t, fmt.Sprintf("p%02d", i))
 	}
-	eventually(t, 5*time.Second, "all deliver", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "all deliver", func() bool {
 		for _, tn := range nodes {
 			if len(tn.deliveredList()) != k {
 				return false
@@ -132,7 +133,7 @@ func TestStabilityPrunesBuffers(t *testing.T) {
 	if !ok {
 		t.Fatal("nak session missing")
 	}
-	eventually(t, 5*time.Second, "send buffer pruned", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "send buffer pruned", func() bool {
 		var n int
 		done := make(chan struct{})
 		if err := nodes[0].sched.Do(func() {
@@ -141,7 +142,7 @@ func TestStabilityPrunesBuffers(t *testing.T) {
 		}); err != nil {
 			return false
 		}
-		<-done
+		clk.Wait(done)
 		return n == 0
 	})
 }

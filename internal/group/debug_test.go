@@ -10,16 +10,16 @@ import (
 // TestDebugRemoteDelivery traces the wire path of one cast between two
 // members, dumping vnet counters when it fails.
 func TestDebugRemoteDelivery(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{})
+	nodes, clk := buildCluster(t, 3, stackOpts{})
 	nodes[0].cast(t, "probe")
 	nodes[1].cast(t, "probe2")
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := clk.Now().Add(2 * time.Second)
+	for clk.Now().Before(deadline) {
 		if len(nodes[1].deliveredList()) == 2 && len(nodes[2].deliveredList()) == 2 {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		clk.Sleep(5 * time.Millisecond)
 	}
 	for i, tn := range nodes {
 		t.Logf("node%d delivered: %v", i+1, tn.deliveredList())
@@ -39,13 +39,13 @@ func TestDebugRemoteDelivery(t *testing.T) {
 // TestDebugLossRecovery inspects the nak session state when recovery under
 // loss stalls.
 func TestDebugLossRecovery(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{loss: 0.25, seed: 7})
+	nodes, clk := buildCluster(t, 3, stackOpts{loss: 0.25, seed: 7})
 	const k = 40
 	for i := 0; i < k; i++ {
 		nodes[0].cast(t, "x")
 	}
-	deadline := time.Now().Add(8 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := clk.Now().Add(8 * time.Second)
+	for clk.Now().Before(deadline) {
 		done := true
 		for _, tn := range nodes {
 			if len(tn.deliveredList()) != k {
@@ -55,7 +55,7 @@ func TestDebugLossRecovery(t *testing.T) {
 		if done {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		clk.Sleep(10 * time.Millisecond)
 	}
 	for i, tn := range nodes {
 		t.Logf("node%d delivered=%d", i+1, len(tn.deliveredList()))
@@ -71,7 +71,7 @@ func TestDebugLossRecovery(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		<-done
+		clk.Wait(done)
 	}
 	t.Fatal("recovery stalled")
 }

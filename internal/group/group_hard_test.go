@@ -9,6 +9,7 @@ import (
 	"morpheus/internal/appia"
 	"morpheus/internal/transport"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // TestSenderCrashMidStream: a sender crashes after its messages reached
@@ -16,7 +17,7 @@ import (
 // the same delivered set — the peer-retransmission history makes that
 // possible even though the origin is gone.
 func TestSenderCrashMidStream(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{
+	nodes, clk := buildCluster(t, 3, stackOpts{
 		enableFD: true,
 		gms: GMSConfig{
 			HeartbeatInterval: 20 * time.Millisecond,
@@ -29,20 +30,20 @@ func TestSenderCrashMidStream(t *testing.T) {
 		nodes[2].cast(t, fmt.Sprintf("s%02d", i))
 	}
 	// Give the stream a moment to spread partially, then kill.
-	time.Sleep(10 * time.Millisecond)
+	clk.Sleep(10 * time.Millisecond)
 	nodes[2].node.SetDown(true)
 
 	// Survivors must install a 2-member view...
 	for _, tn := range nodes[:2] {
 		tn := tn
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d evicts crashed sender", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d evicts crashed sender", tn.id), func() bool {
 			vs := tn.viewList()
 			last := vs[len(vs)-1]
 			return len(last.Members) == 2
 		})
 	}
 	// ...and agree exactly on what was delivered from the dead sender.
-	eventually(t, 10*time.Second, "survivors converge", func() bool {
+	vnettest.Eventually(t, clk, 10*time.Second, "survivors converge", func() bool {
 		a := nodes[0].deliveredList()
 		b := nodes[1].deliveredList()
 		if len(a) != len(b) {
@@ -60,12 +61,12 @@ func TestSenderCrashMidStream(t *testing.T) {
 // TestJoinAfterTraffic: a node joins an active group via JoinReq; the
 // state transfer must let it participate without replaying history.
 func TestJoinAfterTraffic(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{})
+	nodes, clk := buildCluster(t, 3, stackOpts{})
 	const pre = 10
 	for i := 0; i < pre; i++ {
 		nodes[0].cast(t, fmt.Sprintf("old%02d", i))
 	}
-	eventually(t, 5*time.Second, "pre-join traffic settles", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "pre-join traffic settles", func() bool {
 		for _, tn := range nodes {
 			if len(tn.deliveredList()) != pre {
 				return false
@@ -88,13 +89,13 @@ func TestJoinAfterTraffic(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	clk.Wait(done)
 
 	// Everyone, including the joiner, must install a 4-member view.
 	all := append(append([]*testNode(nil), nodes...), joiner)
 	for _, tn := range all {
 		tn := tn
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d installs 4-member view", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d installs 4-member view", tn.id), func() bool {
 			vs := tn.viewList()
 			if len(vs) == 0 {
 				return false
@@ -107,7 +108,7 @@ func TestJoinAfterTraffic(t *testing.T) {
 	nodes[1].cast(t, "fresh")
 	for _, tn := range all {
 		tn := tn
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d gets post-join cast", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d gets post-join cast", tn.id), func() bool {
 			got := tn.deliveredList()
 			return len(got) > 0 && got[len(got)-1] == "fresh"
 		})
@@ -125,14 +126,14 @@ func addJoiner(t *testing.T, cluster []*testNode, id appia.NodeID) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn := &testNode{id: id, node: vn, sched: appia.NewScheduler()}
+	tn := &testNode{id: id, node: vn, sched: appia.NewSchedulerWithClock(w.Clock())}
 	t.Cleanup(tn.sched.Close)
 	members := []appia.NodeID{id} // knows only itself; learns the rest on join
 	q, err := appia.NewQoS("join",
 		transport.NewPTPLayer(transport.Config{Node: vn, Port: "grp", Logf: t.Logf}),
 		NewFanoutLayer(FanoutConfig{Self: id, InitialMembers: members}),
 		NewNakLayer(NakConfig{Self: id, InitialMembers: members, NackDelay: 10 * time.Millisecond, StableInterval: 50 * time.Millisecond}),
-		NewGMSLayer(GMSConfig{Self: id, InitialMembers: members}),
+		NewGMSLayer(GMSConfig{Self: id, InitialMembers: members, Clock: w.Clock()}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func addJoiner(t *testing.T, cluster []*testNode, id appia.NodeID) *testNode {
 // the new coordinator must deterministically order whatever was left
 // unordered, and total order must hold throughout.
 func TestTotalOrderSurvivesSequencerCrash(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{
+	nodes, clk := buildCluster(t, 3, stackOpts{
 		total:    true,
 		enableFD: true,
 		gms: GMSConfig{
@@ -173,14 +174,14 @@ func TestTotalOrderSurvivesSequencerCrash(t *testing.T) {
 	for i := 0; i < k; i++ {
 		nodes[i%3].cast(t, fmt.Sprintf("t%02d-%d", i, i%3))
 	}
-	time.Sleep(5 * time.Millisecond)
+	clk.Sleep(5 * time.Millisecond)
 	nodes[0].node.SetDown(true) // kill the sequencer
 
 	// Survivors continue; new casts still get ordered by node 2.
 	for i := 0; i < 5; i++ {
 		nodes[1].cast(t, fmt.Sprintf("post%d", i))
 	}
-	eventually(t, 15*time.Second, "survivors deliver all surviving casts in agreement", func() bool {
+	vnettest.Eventually(t, clk, 15*time.Second, "survivors deliver all surviving casts in agreement", func() bool {
 		a, b := nodes[1].deliveredList(), nodes[2].deliveredList()
 		if len(a) < 5 || len(a) != len(b) {
 			return false
@@ -204,7 +205,7 @@ func TestTotalOrderSurvivesSequencerCrash(t *testing.T) {
 // TestConcurrentSendersUnderLossConverge is a stress: three senders, 20%
 // loss, everyone must deliver everyone's full FIFO stream.
 func TestConcurrentSendersUnderLossConverge(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{loss: 0.2, seed: 17})
+	nodes, clk := buildCluster(t, 3, stackOpts{loss: 0.2, seed: 17})
 	const k = 25
 	for i := 0; i < k; i++ {
 		for _, tn := range nodes {
@@ -213,7 +214,7 @@ func TestConcurrentSendersUnderLossConverge(t *testing.T) {
 	}
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 20*time.Second, fmt.Sprintf("node %d delivers all %d", tn.id, 3*k), func() bool {
+		vnettest.Eventually(t, clk, 20*time.Second, fmt.Sprintf("node %d delivers all %d", tn.id, 3*k), func() bool {
 			return len(tn.deliveredList()) == 3*k
 		})
 		// Per-sender FIFO must hold.

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/clock"
 	"morpheus/internal/transport"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // testNode bundles one simulated group member.
@@ -51,16 +53,16 @@ type stackOpts struct {
 	seed     int64
 }
 
-// buildCluster creates n nodes (IDs 1..n) on one lossless LAN running the
-// full group stack, started and ready.
-func buildCluster(t *testing.T, n int, opts stackOpts) []*testNode {
+// buildCluster creates n nodes (IDs 1..n) on one LAN running the full
+// group stack, started and ready, on a fresh virtual clock whose run token
+// the test goroutine holds.
+func buildCluster(t *testing.T, n int, opts stackOpts) ([]*testNode, *clock.Virtual) {
 	t.Helper()
 	seed := opts.seed
 	if seed == 0 {
 		seed = 1
 	}
-	w := vnet.NewWorld(seed)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, seed)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", Loss: opts.loss})
 	RegisterWireEvents(nil)
 
@@ -75,7 +77,7 @@ func buildCluster(t *testing.T, n int, opts stackOpts) []*testNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn := &testNode{id: id, node: vn, sched: appia.NewScheduler()}
+		tn := &testNode{id: id, node: vn, sched: appia.NewSchedulerWithClock(clk)}
 		t.Cleanup(tn.sched.Close)
 
 		nak := opts.nak
@@ -91,6 +93,7 @@ func buildCluster(t *testing.T, n int, opts stackOpts) []*testNode {
 		gms.Self = id
 		gms.InitialMembers = members
 		gms.EnableFD = opts.enableFD
+		gms.Clock = clk
 
 		layers := []appia.Layer{
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "grp", Logf: t.Logf}),
@@ -131,11 +134,11 @@ func buildCluster(t *testing.T, n int, opts stackOpts) []*testNode {
 	// port binding and only the stability repair path would save them.
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 2*time.Second, "stack up", func() bool {
+		vnettest.Eventually(t, clk, 2*time.Second, "stack up", func() bool {
 			return len(tn.viewList()) >= 1
 		})
 	}
-	return nodes
+	return nodes, clk
 }
 
 // cast multicasts a payload from the node.
@@ -148,49 +151,36 @@ func (tn *testNode) cast(t *testing.T, payload string) {
 	}
 }
 
-// eventually polls cond until it holds or the deadline passes.
-func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("condition never held: %s", what)
-}
-
 func TestReliableMulticastAllDeliver(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{})
+	nodes, clk := buildCluster(t, 3, stackOpts{})
 	nodes[0].cast(t, "hello")
 	nodes[1].cast(t, "world")
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 3*time.Second, fmt.Sprintf("node %d delivers 2", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 3*time.Second, fmt.Sprintf("node %d delivers 2", tn.id), func() bool {
 			return len(tn.deliveredList()) == 2
 		})
 	}
 }
 
 func TestSenderSelfDelivery(t *testing.T) {
-	nodes := buildCluster(t, 2, stackOpts{})
+	nodes, clk := buildCluster(t, 2, stackOpts{})
 	nodes[0].cast(t, "mine")
-	eventually(t, 3*time.Second, "sender self-delivers", func() bool {
+	vnettest.Eventually(t, clk, 3*time.Second, "sender self-delivers", func() bool {
 		got := nodes[0].deliveredList()
 		return len(got) == 1 && got[0] == "mine"
 	})
 }
 
 func TestFIFOPerSender(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{})
+	nodes, clk := buildCluster(t, 3, stackOpts{})
 	const k = 50
 	for i := 0; i < k; i++ {
 		nodes[0].cast(t, fmt.Sprintf("m%03d", i))
 	}
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d delivers %d", tn.id, k), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d delivers %d", tn.id, k), func() bool {
 			return len(tn.deliveredList()) == k
 		})
 		got := tn.deliveredList()
@@ -204,24 +194,24 @@ func TestFIFOPerSender(t *testing.T) {
 }
 
 func TestReliabilityUnderLoss(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{loss: 0.25, seed: 7})
+	nodes, clk := buildCluster(t, 3, stackOpts{loss: 0.25, seed: 7})
 	const k = 40
 	for i := 0; i < k; i++ {
 		nodes[0].cast(t, fmt.Sprintf("x%03d", i))
 	}
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d recovers all under 25%% loss", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d recovers all under 25%% loss", tn.id), func() bool {
 			return len(tn.deliveredList()) == k
 		})
 	}
 }
 
 func TestInitialViewInstalled(t *testing.T) {
-	nodes := buildCluster(t, 4, stackOpts{})
+	nodes, clk := buildCluster(t, 4, stackOpts{})
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 2*time.Second, "initial view", func() bool {
+		vnettest.Eventually(t, clk, 2*time.Second, "initial view", func() bool {
 			vs := tn.viewList()
 			return len(vs) >= 1 && len(vs[0].Members) == 4 && vs[0].Coordinator() == 1
 		})
@@ -229,9 +219,9 @@ func TestInitialViewInstalled(t *testing.T) {
 }
 
 func TestTriggerFlushInstallsNewView(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{})
+	nodes, clk := buildCluster(t, 3, stackOpts{})
 	// Let the initial view settle.
-	eventually(t, 2*time.Second, "initial views", func() bool {
+	vnettest.Eventually(t, clk, 2*time.Second, "initial views", func() bool {
 		for _, tn := range nodes {
 			if len(tn.viewList()) < 1 {
 				return false
@@ -245,7 +235,7 @@ func TestTriggerFlushInstallsNewView(t *testing.T) {
 	}
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d installs view 2", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d installs view 2", tn.id), func() bool {
 			vs := tn.viewList()
 			return len(vs) >= 2 && vs[len(vs)-1].ID == 2
 		})
@@ -253,7 +243,7 @@ func TestTriggerFlushInstallsNewView(t *testing.T) {
 }
 
 func TestViewSynchronyUnderTraffic(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{loss: 0.1, seed: 3})
+	nodes, clk := buildCluster(t, 3, stackOpts{loss: 0.1, seed: 3})
 	const k = 30
 	for i := 0; i < k; i++ {
 		nodes[i%3].cast(t, fmt.Sprintf("t%03d", i))
@@ -264,12 +254,12 @@ func TestViewSynchronyUnderTraffic(t *testing.T) {
 	// After the flush everyone must have delivered the same set.
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d view 2", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d view 2", tn.id), func() bool {
 			vs := tn.viewList()
 			return len(vs) >= 2
 		})
 	}
-	eventually(t, 10*time.Second, "all deliver everything", func() bool {
+	vnettest.Eventually(t, clk, 10*time.Second, "all deliver everything", func() bool {
 		for _, tn := range nodes {
 			if len(tn.deliveredList()) != k {
 				return false
@@ -294,14 +284,14 @@ func TestViewSynchronyUnderTraffic(t *testing.T) {
 }
 
 func TestCrashedMemberEvicted(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{
+	nodes, clk := buildCluster(t, 3, stackOpts{
 		enableFD: true,
 		gms: GMSConfig{
 			HeartbeatInterval: 20 * time.Millisecond,
 			SuspectAfter:      100 * time.Millisecond,
 		},
 	})
-	eventually(t, 2*time.Second, "initial views", func() bool {
+	vnettest.Eventually(t, clk, 2*time.Second, "initial views", func() bool {
 		for _, tn := range nodes {
 			if len(tn.viewList()) < 1 {
 				return false
@@ -312,7 +302,7 @@ func TestCrashedMemberEvicted(t *testing.T) {
 	nodes[2].node.SetDown(true)
 	for _, tn := range nodes[:2] {
 		tn := tn
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d evicts node 3", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d evicts node 3", tn.id), func() bool {
 			vs := tn.viewList()
 			last := vs[len(vs)-1]
 			return len(last.Members) == 2 && !last.Contains(3)
@@ -322,7 +312,7 @@ func TestCrashedMemberEvicted(t *testing.T) {
 	nodes[0].cast(t, "after-eviction")
 	for _, tn := range nodes[:2] {
 		tn := tn
-		eventually(t, 3*time.Second, "post-eviction delivery", func() bool {
+		vnettest.Eventually(t, clk, 3*time.Second, "post-eviction delivery", func() bool {
 			got := tn.deliveredList()
 			return len(got) >= 1 && got[len(got)-1] == "after-eviction"
 		})
@@ -330,14 +320,14 @@ func TestCrashedMemberEvicted(t *testing.T) {
 }
 
 func TestCoordinatorCrashPromotesNext(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{
+	nodes, clk := buildCluster(t, 3, stackOpts{
 		enableFD: true,
 		gms: GMSConfig{
 			HeartbeatInterval: 20 * time.Millisecond,
 			SuspectAfter:      100 * time.Millisecond,
 		},
 	})
-	eventually(t, 2*time.Second, "initial views", func() bool {
+	vnettest.Eventually(t, clk, 2*time.Second, "initial views", func() bool {
 		for _, tn := range nodes {
 			if len(tn.viewList()) < 1 {
 				return false
@@ -348,7 +338,7 @@ func TestCoordinatorCrashPromotesNext(t *testing.T) {
 	nodes[0].node.SetDown(true) // kill the coordinator
 	for _, tn := range nodes[1:] {
 		tn := tn
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d installs coordinator 2", tn.id), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d installs coordinator 2", tn.id), func() bool {
 			vs := tn.viewList()
 			last := vs[len(vs)-1]
 			return last.Coordinator() == 2 && !last.Contains(1)
@@ -368,14 +358,14 @@ func sortedCopy(ss []string) []string {
 }
 
 func TestTotalOrderAgreement(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{total: true, loss: 0.1, seed: 5})
+	nodes, clk := buildCluster(t, 3, stackOpts{total: true, loss: 0.1, seed: 5})
 	const k = 20
 	for i := 0; i < k; i++ {
 		nodes[i%3].cast(t, fmt.Sprintf("z%03d-%d", i, i%3))
 	}
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d delivers %d ordered", tn.id, k), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d delivers %d ordered", tn.id, k), func() bool {
 			return len(tn.deliveredList()) == k
 		})
 	}
@@ -391,18 +381,18 @@ func TestTotalOrderAgreement(t *testing.T) {
 }
 
 func TestCausalOrderRespected(t *testing.T) {
-	nodes := buildCluster(t, 3, stackOpts{causal: true})
+	nodes, clk := buildCluster(t, 3, stackOpts{causal: true})
 	// Node 1 sends a; node 2 replies b after seeing a. Every member must
 	// deliver a before b.
 	nodes[0].cast(t, "a")
-	eventually(t, 3*time.Second, "node2 sees a", func() bool {
+	vnettest.Eventually(t, clk, 3*time.Second, "node2 sees a", func() bool {
 		got := nodes[1].deliveredList()
 		return len(got) == 1 && got[0] == "a"
 	})
 	nodes[1].cast(t, "b")
 	for _, tn := range nodes {
 		tn := tn
-		eventually(t, 3*time.Second, "causal pair delivered", func() bool {
+		vnettest.Eventually(t, clk, 3*time.Second, "causal pair delivered", func() bool {
 			return len(tn.deliveredList()) == 2
 		})
 		got := tn.deliveredList()

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/clock"
 	"morpheus/internal/group"
 	"morpheus/internal/transport"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // hybrid builds 1 mobile (id 10) + nFixed fixed nodes (ids 1..nFixed) with
@@ -32,10 +34,9 @@ func (h *hybridNode) deliveredList() []string {
 	return cp
 }
 
-func buildHybrid(t *testing.T, nFixed int) (mobile *hybridNode, fixed []*hybridNode) {
+func buildHybrid(t *testing.T, nFixed int) (mobile *hybridNode, fixed []*hybridNode, clk *clock.Virtual) {
 	t.Helper()
-	w := vnet.NewWorld(1)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 1)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
 	group.RegisterWireEvents(nil)
@@ -52,13 +53,13 @@ func buildHybrid(t *testing.T, nFixed int) (mobile *hybridNode, fixed []*hybridN
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &hybridNode{id: id, node: vn, sched: appia.NewScheduler()}
+		h := &hybridNode{id: id, node: vn, sched: appia.NewSchedulerWithClock(clk)}
 		t.Cleanup(h.sched.Close)
 		q, err := appia.NewQoS("mecho-test",
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "d", Logf: t.Logf}),
 			MustLayer(Config{Self: id, Mode: mode, Relay: 1, InitialMembers: members}),
 			group.NewNakLayer(group.NakConfig{Self: id, InitialMembers: members, NackDelay: 10 * time.Millisecond, StableInterval: 50 * time.Millisecond}),
-			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members}),
+			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members, Clock: clk}),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +86,7 @@ func buildHybrid(t *testing.T, nFixed int) (mobile *hybridNode, fixed []*hybridN
 			t.Fatal("stack never ready")
 		}
 	}
-	return mobile, fixed
+	return mobile, fixed, clk
 }
 
 func cast(t *testing.T, h *hybridNode, payload string) {
@@ -97,20 +98,8 @@ func cast(t *testing.T, h *hybridNode, payload string) {
 	}
 }
 
-func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("condition never held: %s", what)
-}
-
 func TestMobileSendsSingleUnicastPerCast(t *testing.T) {
-	mobile, fixed := buildHybrid(t, 3)
+	mobile, fixed, clk := buildHybrid(t, 3)
 	mobile.node.ResetCounters()
 
 	const k = 20
@@ -119,7 +108,7 @@ func TestMobileSendsSingleUnicastPerCast(t *testing.T) {
 	}
 	for _, h := range append(fixed, mobile) {
 		h := h
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d delivers %d", h.id, k), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d delivers %d", h.id, k), func() bool {
 			return len(h.deliveredList()) == k
 		})
 	}
@@ -130,14 +119,14 @@ func TestMobileSendsSingleUnicastPerCast(t *testing.T) {
 }
 
 func TestRelayEchoesToOthers(t *testing.T) {
-	mobile, fixed := buildHybrid(t, 3)
+	mobile, fixed, clk := buildHybrid(t, 3)
 	relay := fixed[0] // node 1
 	relay.node.ResetCounters()
 
 	cast(t, mobile, "hello")
 	for _, h := range fixed {
 		h := h
-		eventually(t, 3*time.Second, fmt.Sprintf("fixed %d delivers", h.id), func() bool {
+		vnettest.Eventually(t, clk, 3*time.Second, fmt.Sprintf("fixed %d delivers", h.id), func() bool {
 			return len(h.deliveredList()) == 1
 		})
 	}
@@ -150,14 +139,14 @@ func TestRelayEchoesToOthers(t *testing.T) {
 }
 
 func TestWiredNodeFansOut(t *testing.T) {
-	mobile, fixed := buildHybrid(t, 3)
+	mobile, fixed, clk := buildHybrid(t, 3)
 	sender := fixed[1] // wired non-relay
 	sender.node.ResetCounters()
 
 	cast(t, sender, "from-wired")
 	for _, h := range append(fixed, mobile) {
 		h := h
-		eventually(t, 3*time.Second, "all deliver wired cast", func() bool {
+		vnettest.Eventually(t, clk, 3*time.Second, "all deliver wired cast", func() bool {
 			return len(h.deliveredList()) == 1
 		})
 	}
@@ -169,8 +158,7 @@ func TestWiredNodeFansOut(t *testing.T) {
 }
 
 func TestMechoReliabilityUnderWlanLoss(t *testing.T) {
-	w := vnet.NewWorld(5)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 5)
 	// Build manually to set wlan loss.
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true, Loss: 0.2})
@@ -182,13 +170,13 @@ func TestMechoReliabilityUnderWlanLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &hybridNode{id: id, node: vn, sched: appia.NewScheduler()}
+		h := &hybridNode{id: id, node: vn, sched: appia.NewSchedulerWithClock(clk)}
 		t.Cleanup(h.sched.Close)
 		q, err := appia.NewQoS("q",
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "d", Logf: t.Logf}),
 			MustLayer(Config{Self: id, Mode: mode, Relay: 1, InitialMembers: members}),
 			group.NewNakLayer(group.NakConfig{Self: id, InitialMembers: members, NackDelay: 10 * time.Millisecond, StableInterval: 40 * time.Millisecond}),
-			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members}),
+			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members, Clock: clk}),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +208,7 @@ func TestMechoReliabilityUnderWlanLoss(t *testing.T) {
 	}
 	for _, h := range []*hybridNode{mobile, f1, f2} {
 		h := h
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d recovers all via relay", h.id), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d recovers all via relay", h.id), func() bool {
 			return len(h.deliveredList()) == k
 		})
 	}

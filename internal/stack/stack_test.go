@@ -9,8 +9,10 @@ import (
 
 	"morpheus/internal/appia"
 	"morpheus/internal/appia/appiaxml"
+	"morpheus/internal/clock"
 	"morpheus/internal/group"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // plainDoc composes the standard reliable stack (mirrors core.PlainConfig,
@@ -56,10 +58,9 @@ func (m *mgrNode) count() int {
 	return len(m.delivered)
 }
 
-func buildManagers(t *testing.T, n int) []*mgrNode {
+func buildManagers(t *testing.T, n int) ([]*mgrNode, *clock.Virtual) {
 	t.Helper()
-	w := vnet.NewWorld(12)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 12)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	RegisterAllWireEvents(nil)
 
@@ -73,10 +74,10 @@ func buildManagers(t *testing.T, n int) []*mgrNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &mgrNode{id: id, vn: vn, sched: appia.NewScheduler()}
+		m := &mgrNode{id: id, vn: vn, sched: appia.NewSchedulerWithClock(clk)}
 		t.Cleanup(m.sched.Close)
 		m.mgr = NewManager(ManagerConfig{
-			Node: vn, Self: id, Scheduler: m.sched,
+			Node: vn, Self: id, Scheduler: m.sched, Clock: clk,
 			OnDeliver: func(ev *group.CastEvent) {
 				m.mu.Lock()
 				m.delivered = append(m.delivered, string(ev.Msg.Bytes()))
@@ -90,42 +91,49 @@ func buildManagers(t *testing.T, n int) []*mgrNode {
 		t.Cleanup(func() { _ = m.mgr.Close() })
 		nodes = append(nodes, m)
 	}
-	return nodes
+	return nodes, clk
+}
+
+// delivered reports whether every node has delivered at least want casts
+// within d of virtual time.
+func delivered(clk *clock.Virtual, nodes []*mgrNode, want int, d time.Duration) bool {
+	deadline := clk.Now().Add(d)
+	for clk.Now().Before(deadline) {
+		ok := true
+		for _, m := range nodes {
+			if m.count() < want {
+				ok = false
+			}
+		}
+		if ok {
+			return true
+		}
+		clk.Sleep(3 * time.Millisecond)
+	}
+	return false
 }
 
 func TestManagerDeployAndSend(t *testing.T) {
-	nodes := buildManagers(t, 3)
+	nodes, clk := buildManagers(t, 3)
 	if nodes[0].mgr.Epoch() != 1 || nodes[0].mgr.ConfigName() != "plain" {
 		t.Fatalf("epoch=%d config=%q", nodes[0].mgr.Epoch(), nodes[0].mgr.ConfigName())
 	}
 	if err := nodes[0].mgr.Send([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, m := range nodes {
-			if m.count() < 1 {
-				ok = false
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(3 * time.Millisecond)
+	if !delivered(clk, nodes, 1, 5*time.Second) {
+		t.Fatal("message never delivered everywhere")
 	}
-	t.Fatal("message never delivered everywhere")
 }
 
 func TestManagerSendBeforeDeploy(t *testing.T) {
-	w := vnet.NewWorld(1)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 1)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	vn, err := w.AddNode(1, vnet.Fixed, "lan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := appia.NewScheduler()
+	sched := appia.NewSchedulerWithClock(clk)
 	t.Cleanup(sched.Close)
 	m := NewManager(ManagerConfig{Node: vn, Self: 1, Scheduler: sched, Logf: func(string, ...any) {}})
 	if err := m.Send([]byte("x")); !errors.Is(err, ErrNotDeployed) {
@@ -136,28 +144,31 @@ func TestManagerSendBeforeDeploy(t *testing.T) {
 // TestManagerReconfigure exercises the full §3.3 procedure across three
 // nodes, with traffic before, during and after.
 func TestManagerReconfigure(t *testing.T) {
-	nodes := buildManagers(t, 3)
+	nodes, clk := buildManagers(t, 3)
 	if err := nodes[1].mgr.Send([]byte("pre")); err != nil {
 		t.Fatal(err)
 	}
 
-	// All nodes reconfigure concurrently (as Core would make them).
-	var wg sync.WaitGroup
+	// All nodes reconfigure concurrently (as Core would make them), each
+	// from its own clock actor.
 	errs := make([]error, len(nodes))
+	dones := make([]chan struct{}, len(nodes))
 	members := []appia.NodeID{1, 2, 3}
 	for i, m := range nodes {
 		i, m := i, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		dones[i] = make(chan struct{})
+		clk.Go(func() {
+			defer close(dones[i])
 			errs[i] = m.mgr.Reconfigure(mechoDoc(1), "mecho", 2, members)
-		}()
+		})
 	}
 	// Send during the reconfiguration window: must be buffered, not lost.
 	if err := nodes[0].mgr.Send([]byte("during")); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	for _, done := range dones {
+		clk.Wait(done)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("node %d reconfigure: %v", i+1, err)
@@ -171,18 +182,8 @@ func TestManagerReconfigure(t *testing.T) {
 	if err := nodes[2].mgr.Send([]byte("post")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, m := range nodes {
-			if m.count() < 3 { // pre + during + post
-				ok = false
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(3 * time.Millisecond)
+	if delivered(clk, nodes, 3, 10*time.Second) { // pre + during + post
+		return
 	}
 	for _, m := range nodes {
 		t.Logf("node %d delivered %v", m.id, m.delivered)
@@ -191,7 +192,7 @@ func TestManagerReconfigure(t *testing.T) {
 }
 
 func TestManagerStaleEpochRejected(t *testing.T) {
-	nodes := buildManagers(t, 2)
+	nodes, _ := buildManagers(t, 2)
 	err := nodes[0].mgr.Reconfigure(plainDoc(), "plain", 1, []appia.NodeID{1, 2})
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("err = %v", err)
@@ -216,8 +217,7 @@ func TestStandardRegistryNames(t *testing.T) {
 }
 
 func TestMechoModeResolution(t *testing.T) {
-	w := vnet.NewWorld(2)
-	t.Cleanup(func() { _ = w.Close() })
+	w, _ := vnettest.World(t, 2)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
 	fixedN, err := w.AddNode(1, vnet.Fixed, "lan")

@@ -6,16 +6,18 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/clock"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // buildMcastTrio wires three nodes with ptp + native multicast stacks on a
-// multicast-capable segment.
-func buildMcastTrio(t *testing.T) (chans []*appia.Channel, nodes []*vnet.Node, got *[3][]string, mu *sync.Mutex) {
+// multicast-capable segment, on a fresh virtual clock whose run token the
+// test goroutine holds.
+func buildMcastTrio(t *testing.T) (chans []*appia.Channel, nodes []*vnet.Node, got *[3][]string, mu *sync.Mutex, clk *clock.Virtual) {
 	t.Helper()
 	r := reg(t)
-	w := vnet.NewWorld(8)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 8)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 
 	mu = &sync.Mutex{}
@@ -37,7 +39,7 @@ func buildMcastTrio(t *testing.T) (chans []*appia.Channel, nodes []*vnet.Node, g
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := appia.NewScheduler()
+		sched := appia.NewSchedulerWithClock(clk)
 		t.Cleanup(sched.Close)
 		ch := q.CreateChannel("data", sched, appia.WithDeliver(func(ev appia.Event) {
 			if p, ok := ev.(*pingEv); ok {
@@ -54,26 +56,19 @@ func buildMcastTrio(t *testing.T) (chans []*appia.Channel, nodes []*vnet.Node, g
 		}
 		chans = append(chans, ch)
 	}
-	return chans, nodes, got, mu
+	return chans, nodes, got, mu, clk
 }
 
 func TestNativeMulticastDelivery(t *testing.T) {
-	chans, nodes, got, mu := buildMcastTrio(t)
+	chans, nodes, got, mu, clk := buildMcastTrio(t)
 	ev := &pingEv{}
 	ev.Msg = appia.NewMessage([]byte("to-all"))
 	if err := chans[0].Insert(ev, appia.Down); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		done := len(got[1]) == 1 && len(got[2]) == 1
-		mu.Unlock()
-		if done {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Zero-latency frames and the stacks' work take no virtual time: once
+	// the clock has moved at all, every delivery has happened.
+	clk.Sleep(time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got[1]) != 1 || len(got[2]) != 1 {
@@ -86,23 +81,14 @@ func TestNativeMulticastDelivery(t *testing.T) {
 }
 
 func TestNativeMulticastPassesAddressedTraffic(t *testing.T) {
-	chans, nodes, got, mu := buildMcastTrio(t)
+	chans, nodes, got, mu, clk := buildMcastTrio(t)
 	ev := &pingEv{}
 	ev.Dest = 3
 	ev.Msg = appia.NewMessage([]byte("direct"))
 	if err := chans[0].Insert(ev, appia.Down); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		done := len(got[2]) == 1
-		mu.Unlock()
-		if done {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	clk.Sleep(time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got[2]) != 1 {

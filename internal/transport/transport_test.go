@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/clock"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // pingEv is a registered wire event for tests.
@@ -101,12 +103,12 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 }
 
-// buildPair wires two single-layer (ptp only) channels over a vnet LAN.
-func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]appia.Event, mu *sync.Mutex) {
+// buildPair wires two single-layer (ptp only) channels over a vnet LAN, on
+// a fresh virtual clock whose run token the test goroutine holds.
+func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]appia.Event, mu *sync.Mutex, clk *clock.Virtual) {
 	t.Helper()
 	r := reg(t)
-	w := vnet.NewWorld(2)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 2)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	na, err := w.AddNode(1, vnet.Fixed, "lan")
 	if err != nil {
@@ -125,7 +127,7 @@ func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]appia.Event, mu
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := appia.NewScheduler()
+		sched := appia.NewSchedulerWithClock(clk)
 		t.Cleanup(sched.Close)
 		var opts []appia.ChannelOption
 		if sink {
@@ -146,50 +148,45 @@ func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]appia.Event, mu
 	}
 	a = mkChan(na, false)
 	b = mkChan(nb, true)
-	return a, b, deliveredB, mu
+	return a, b, deliveredB, mu, clk
 }
 
 func TestPTPSendsAndDelivers(t *testing.T) {
-	a, _, deliveredB, mu := buildPair(t)
+	a, _, deliveredB, mu, clk := buildPair(t)
 	ev := &pingEv{}
 	ev.Dest = 2
 	ev.Msg = appia.NewMessage([]byte("hi"))
 	if err := a.Insert(ev, appia.Down); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(*deliveredB)
-		mu.Unlock()
-		if n == 1 {
-			mu.Lock()
-			defer mu.Unlock()
-			got, ok := (*deliveredB)[0].(*pingEv)
-			if !ok {
-				t.Fatalf("delivered %T", (*deliveredB)[0])
-			}
-			if got.SendableBase().Source != 1 {
-				t.Fatalf("source = %d", got.SendableBase().Source)
-			}
-			if string(got.Msg.Bytes()) != "hi" {
-				t.Fatalf("payload = %q", got.Msg.Bytes())
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
+	// A zero-latency hop takes no virtual time: once the clock has moved
+	// at all, the frame has been delivered.
+	clk.Sleep(time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(*deliveredB) != 1 {
+		t.Fatalf("delivered %d events, want 1", len(*deliveredB))
 	}
-	t.Fatal("never delivered")
+	got, ok := (*deliveredB)[0].(*pingEv)
+	if !ok {
+		t.Fatalf("delivered %T", (*deliveredB)[0])
+	}
+	if got.SendableBase().Source != 1 {
+		t.Fatalf("source = %d", got.SendableBase().Source)
+	}
+	if string(got.Msg.Bytes()) != "hi" {
+		t.Fatalf("payload = %q", got.Msg.Bytes())
+	}
 }
 
 func TestPTPDropsUnaddressed(t *testing.T) {
-	a, _, deliveredB, mu := buildPair(t)
+	a, _, deliveredB, mu, clk := buildPair(t)
 	ev := &pingEv{}
 	ev.Msg = appia.NewMessage([]byte("nowhere"))
 	if err := a.Insert(ev, appia.Down); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	clk.Sleep(50 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(*deliveredB) != 0 {

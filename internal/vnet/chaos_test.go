@@ -16,7 +16,7 @@ func chaosWorld(t *testing.T, seed int64) (*World, *clock.Virtual, map[NodeID]*N
 	t.Helper()
 	clk := clock.NewVirtual()
 	t.Cleanup(clk.Stop)
-	w := NewWorldWithClock(seed, clk)
+	w := NewWorld(seed, clk)
 	t.Cleanup(func() { _ = w.Close() })
 	w.AddSegment(SegmentConfig{Name: "lan", NativeMulticast: true})
 
@@ -94,7 +94,7 @@ func TestLinkLossOverride(t *testing.T) {
 func TestLinkLatencyOverride(t *testing.T) {
 	clk := clock.NewVirtual()
 	defer clk.Stop()
-	w := NewWorldWithClock(9, clk)
+	w := NewWorld(9, clk)
 	defer w.Close()
 	w.AddSegment(SegmentConfig{Name: "lan", Latency: time.Millisecond, NativeMulticast: true})
 

@@ -6,6 +6,7 @@ import (
 	"morpheus/internal/netio"
 	"morpheus/internal/netio/conformancetest"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // TestNetioConformance runs the substrate conformance suite against the
@@ -13,7 +14,7 @@ import (
 func TestNetioConformance(t *testing.T) {
 	conformancetest.Run(t, conformancetest.Harness{
 		New: func(t *testing.T) netio.Network {
-			w := vnet.NewWorld(1)
+			w, _ := vnettest.World(t, 1)
 			w.AddSegment(vnet.SegmentConfig{Name: "conf", NativeMulticast: true})
 			return w
 		},

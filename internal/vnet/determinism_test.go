@@ -12,19 +12,12 @@ import (
 
 // runDeterministicScenario drives a fixed op sequence — unicast and native
 // multicast over lossy, jittery segments — and returns the per-node counter
-// snapshots once all deliveries have settled. With virtual set, the world
-// runs on a virtual clock and the settle wait is virtual time.
-func runDeterministicScenario(t *testing.T, seed int64, virtual bool) map[NodeID]Counters {
+// snapshots once all deliveries have settled on the virtual timeline.
+func runDeterministicScenario(t *testing.T, seed int64) map[NodeID]Counters {
 	t.Helper()
-	var clk clock.Clock
-	if virtual {
-		v := clock.NewVirtual()
-		defer v.Stop()
-		clk = v
-	} else {
-		clk = clock.Wall()
-	}
-	w := NewWorldWithClock(seed, clk)
+	clk := clock.NewVirtual()
+	defer clk.Stop()
+	w := NewWorld(seed, clk)
 	defer w.Close()
 	w.AddSegment(SegmentConfig{
 		Name:            "lan",
@@ -91,18 +84,20 @@ func runDeterministicScenario(t *testing.T, seed int64, virtual bool) map[NodeID
 	return out
 }
 
-// TestWorldDeterministicReplay locks in the sharding work's replay
-// guarantee: identical seeds must produce identical loss/jitter draws and
-// therefore identical traffic counters, even though the RNG now sits behind
-// its own lock and multicast fan-out iterates a map.
+// TestWorldDeterministicReplay locks in the replay guarantee: identical
+// seeds must produce identical loss/jitter draws and therefore identical
+// traffic counters, rx side included, since the settle point is a
+// deterministic virtual instant. Delayed frames go through the clock's
+// timer heap, and the RNG sits behind its own lock while multicast fans
+// out in ascending node order.
 func TestWorldDeterministicReplay(t *testing.T) {
-	a := runDeterministicScenario(t, 7, false)
-	b := runDeterministicScenario(t, 7, false)
+	a := runDeterministicScenario(t, 7)
+	b := runDeterministicScenario(t, 7)
 	compareCounterMaps(t, a, b)
 
 	// A different seed must (for this scenario) draw differently somewhere;
 	// this guards against the RNG silently not being consulted at all.
-	c := runDeterministicScenario(t, 8, false)
+	c := runDeterministicScenario(t, 8)
 	same := true
 	for id, ca := range a {
 		if c[id].TotalRx() != ca.TotalRx() {
@@ -115,17 +110,6 @@ func TestWorldDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestWorldDeterministicReplayVirtual runs the same lossy, jittery scenario
-// on a virtual clock: delayed frames go through the clock's timer heap
-// instead of the wall-clock engine, and the replay guarantee must hold
-// there too — including the rx side, which under virtual time is exact
-// because the settle point is a deterministic virtual instant.
-func TestWorldDeterministicReplayVirtual(t *testing.T) {
-	a := runDeterministicScenario(t, 7, true)
-	b := runDeterministicScenario(t, 7, true)
-	compareCounterMaps(t, a, b)
-}
-
 // runChaosDeterministicScenario is the fault-overlay variant: the same
 // lossy, jittery traffic with partition/heal cycles, per-link loss and
 // latency overrides, and a crash-stop injected at fixed rounds. Under a
@@ -136,7 +120,7 @@ func runChaosDeterministicScenario(t *testing.T, seed int64) map[NodeID]Counters
 	t.Helper()
 	clk := clock.NewVirtual()
 	defer clk.Stop()
-	w := NewWorldWithClock(seed, clk)
+	w := NewWorld(seed, clk)
 	defer w.Close()
 	w.AddSegment(SegmentConfig{
 		Name:            "lan",

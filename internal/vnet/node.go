@@ -151,7 +151,7 @@ func (n *Node) ResetCounters() {
 }
 
 // Flush implements netio.Endpoint: a no-op, since the simulator hands
-// every frame to its delivery engine at Send time.
+// every frame to its receiver or to the clock's timer heap at Send time.
 func (n *Node) Flush() {}
 
 // primary returns the node's primary segment, or nil if detached. segments
@@ -348,7 +348,7 @@ func (n *Node) deliverLoopback(dst *Node, port string, payload []byte) {
 
 // deliverCopy schedules delivery of payload after the given latency. Zero
 // latency lends the payload synchronously on this goroutine; otherwise the
-// world copies it into a pooled buffer for the timer heap.
+// world copies it into a pooled buffer for the clock's timer heap.
 func (n *Node) deliverCopy(src NodeID, dst *Node, port, class string, payload []byte, after time.Duration) {
 	n.world.schedule(after, payload, delivery{
 		src:   src,

@@ -4,12 +4,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"morpheus/internal/clock"
 )
 
-// benchWorld builds a two-node wired world with the given segment latency.
-func benchWorld(b *testing.B, latency time.Duration) (*World, *Node, *atomic.Uint64) {
+// benchWorld builds a two-node wired world with the given segment latency
+// on a fresh virtual clock; the benchmark goroutine holds its run token.
+func benchWorld(b *testing.B, latency time.Duration) (*clock.Virtual, *Node, *atomic.Uint64) {
 	b.Helper()
-	w := NewWorld(1)
+	clk := clock.NewVirtual()
+	b.Cleanup(clk.Stop)
+	w := NewWorld(1, clk)
+	b.Cleanup(func() { _ = w.Close() })
 	w.AddSegment(SegmentConfig{Name: "lan", Latency: latency})
 	a, err := w.AddNode(1, Fixed, "lan")
 	if err != nil {
@@ -23,17 +29,16 @@ func benchWorld(b *testing.B, latency time.Duration) (*World, *Node, *atomic.Uin
 	recv.Handle("p", func(src NodeID, port string, payload []byte) {
 		got.Add(1)
 	})
-	return w, a, &got
+	return clk, a, &got
 }
 
-// BenchmarkVnetDelivery measures the frame delivery engine: the "sync" case
-// is the zero-latency in-process path (pure lock and accounting overhead);
-// the "timed" case pushes every frame through the latency scheduler, which
-// is where per-packet time.AfterFunc vs a single timer heap shows up.
+// BenchmarkVnetDelivery measures frame delivery: the "sync" case is the
+// zero-latency in-process path (pure lock and accounting overhead); the
+// "timed" case pushes every frame through the clock's timer heap and lets
+// virtual time advance past the latency to drain it.
 func BenchmarkVnetDelivery(b *testing.B) {
 	b.Run("sync", func(b *testing.B) {
-		w, a, got := benchWorld(b, 0)
-		defer w.Close()
+		_, a, got := benchWorld(b, 0)
 		payload := make([]byte, 128)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -48,8 +53,7 @@ func BenchmarkVnetDelivery(b *testing.B) {
 		}
 	})
 	b.Run("timed", func(b *testing.B) {
-		w, a, got := benchWorld(b, 200*time.Microsecond)
-		defer w.Close()
+		clk, a, got := benchWorld(b, 200*time.Microsecond)
 		payload := make([]byte, 128)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -58,8 +62,10 @@ func BenchmarkVnetDelivery(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		for int(got.Load()) != b.N {
-			time.Sleep(50 * time.Microsecond)
+		clk.Sleep(200 * time.Microsecond)
+		b.StopTimer()
+		if int(got.Load()) != b.N {
+			b.Fatalf("delivered %d, want %d", got.Load(), b.N)
 		}
 	})
 }

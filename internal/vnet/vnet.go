@@ -8,11 +8,18 @@
 // into data and control classes) is counted here, at the lowest level, so
 // no protocol layer can forget to account for its traffic.
 //
-// The delivery engine is built for throughput: topology is behind a
-// read-write lock, per-node traffic counters are lock-free atomics indexed
-// by a small traffic-class enum, the deterministic RNG sits behind its own
-// narrow lock, and latency-delayed frames go through a single timer-heap
-// goroutine instead of one runtime timer per packet.
+// A world runs on virtual time only: it is built on a *clock.Virtual, and
+// there is one delivery path. A zero-latency frame is handed to its
+// receiver synchronously on the sender's goroutine; a latency-delayed
+// frame becomes an entry of the clock's timer heap, so frame deliveries
+// interleave with protocol timers in one reproducible (deadline,
+// registration) order. Live wall-time runs use the udpnet or loopnet
+// substrates instead.
+//
+// The data plane is built for throughput: topology is behind a read-write
+// lock, per-node traffic counters are lock-free atomics indexed by a small
+// traffic-class enum, and the deterministic RNG sits behind its own narrow
+// lock.
 package vnet
 
 import (
@@ -124,11 +131,8 @@ type Segment struct {
 	sorted []*Node
 }
 
-// delivery is one latency-delayed frame waiting in the timer heap. seq
-// breaks deadline ties in submission order, keeping delivery deterministic.
+// delivery is one frame on its way to a receiver.
 type delivery struct {
-	when  time.Time
-	seq   uint64
 	src   NodeID
 	dst   *Node
 	port  string
@@ -165,11 +169,11 @@ func recyclePayload(pb *payloadBuf) {
 	}
 }
 
-// World is the simulated network: nodes, segments and the delivery engine.
+// World is the simulated network: nodes, segments and their virtual clock.
 //
 // Locking is sharded so the data plane never funnels through one mutex:
 // topology (nodes, segments) is behind an RWMutex that the hot path only
-// read-locks; the RNG has its own lock; the timer heap has its own lock.
+// read-locks, and the RNG has its own lock.
 type World struct {
 	mu       sync.RWMutex // topology: nodes and segments
 	nodes    map[NodeID]*Node
@@ -187,43 +191,29 @@ type World struct {
 	faults  atomic.Pointer[faultState]
 	faultMu sync.Mutex // serializes overlay copy-on-write mutations
 
-	// clk is the world's time plane. With the default wall clock, delayed
-	// frames run through the world's own timer-heap engine; with a
-	// deterministic *clock.Virtual they become entries of the clock's heap
-	// instead, so frame deliveries interleave with protocol timers in one
-	// reproducible (deadline, registration) order.
-	clk  clock.Clock
-	vclk *clock.Virtual
+	// clk is the world's time plane: delayed frames are entries of its
+	// timer heap, and nodes started on the world inherit it.
+	clk *clock.Virtual
 
 	rngMu sync.Mutex // deterministic RNG; narrow, never held with others
 	rng   *rand.Rand
-
-	dmu      sync.Mutex // timer heap state
-	heap     []delivery
-	seq      uint64
-	engineOn bool
-	wake     chan struct{}
-	inflight sync.WaitGroup
 }
 
-// NewWorld creates an empty world with a deterministic RNG, timed by the
-// wall clock.
-func NewWorld(seed int64) *World { return NewWorldWithClock(seed, nil) }
-
-// NewWorldWithClock creates a world timed by clk (nil means wall clock).
-// Passing a *clock.Virtual makes the whole world — frame latencies
-// included — part of that clock's deterministic timeline; nodes started on
-// the world inherit the clock, so their control planes virtualize too.
-func NewWorldWithClock(seed int64, clk clock.Clock) *World {
-	w := &World{
+// NewWorld creates an empty world with a deterministic RNG, timed by clk.
+// The whole world — frame latencies included — is part of clk's
+// deterministic timeline, and nodes started on the world inherit the
+// clock, so their control planes run on virtual time too. clk must not be
+// nil.
+func NewWorld(seed int64, clk *clock.Virtual) *World {
+	if clk == nil {
+		panic("vnet: NewWorld needs a virtual clock")
+	}
+	return &World{
 		nodes:    make(map[NodeID]*Node),
 		segments: make(map[string]*Segment),
-		clk:      clock.Or(clk),
+		clk:      clk,
 		rng:      rand.New(rand.NewSource(seed)),
-		wake:     make(chan struct{}, 1),
 	}
-	w.vclk, _ = w.clk.(*clock.Virtual)
-	return w
 }
 
 // Clock returns the world's time plane.
@@ -328,25 +318,13 @@ func (w *World) lookupNode(id NodeID) (*Node, bool) {
 	return n, ok
 }
 
-// Close stops all pending deliveries and waits for in-flight handlers. It
-// implements netio.Network and always returns nil.
+// Close stops all pending deliveries. It implements netio.Network and
+// always returns nil. No handler runs after Close returns: a delayed frame
+// fires on the clock goroutine only while every actor is parked, so none is
+// running while an actor calls Close, and each one checks the closed flag
+// before it delivers.
 func (w *World) Close() error {
-	w.dmu.Lock()
-	already := w.closed.Swap(true)
-	if !already {
-		// Drop every queued delivery; each still holds an inflight slot.
-		for i := range w.heap {
-			recyclePayload(w.heap[i].pb)
-			w.inflight.Done()
-		}
-		w.heap = nil
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-	w.dmu.Unlock()
-	w.inflight.Wait()
+	w.closed.Store(true)
 	return nil
 }
 
@@ -376,11 +354,12 @@ func (w *World) drawJitter(j time.Duration) time.Duration {
 	return time.Duration(w.rng.Int63n(int64(j)))
 }
 
-// schedule queues a frame for delivery after d; the frame's payload copy
-// is made here when one is needed. Zero delay delivers synchronously on
-// the caller's goroutine, lending the caller's payload straight to the
-// handler; anything else copies into a pooled buffer and goes through the
-// timer heap and its single delivery goroutine.
+// schedule queues a frame for delivery after d. Zero delay delivers
+// synchronously on the caller's goroutine, lending the caller's payload
+// straight to the handler; anything else copies into a pooled buffer and
+// becomes an entry of the clock's timer heap. The fire runs on the clock
+// goroutine at a quiescent point, so same-instant frames deliver in
+// registration order, the same order every protocol timer follows.
 func (w *World) schedule(d time.Duration, payload []byte, dl delivery) {
 	if d <= 0 {
 		h, ok := dl.dst.accountRx(dl.class, len(payload), dl.port)
@@ -389,49 +368,14 @@ func (w *World) schedule(d time.Duration, payload []byte, dl delivery) {
 		}
 		return
 	}
-	if w.vclk != nil {
-		// Virtual time: the clock's heap is the delivery engine. The fire
-		// runs on the clock goroutine at a quiescent point, so same-instant
-		// frames deliver in registration order — exactly the (when, seq)
-		// rule of the wall engine, now shared with every protocol timer.
-		dl.pb, dl.size = copyPayload(payload), len(payload)
-		w.vclk.AfterFunc(d, func() {
-			if w.closed.Load() {
-				recyclePayload(dl.pb)
-				return
-			}
-			w.deliver(dl)
-		})
-		return
-	}
 	dl.pb, dl.size = copyPayload(payload), len(payload)
-	dl.when = time.Now().Add(d) //lint:wallclock-ok wall-mode delivery path; virtual-clock worlds take the vclk branch above
-	w.dmu.Lock()
-	if w.closed.Load() {
-		w.dmu.Unlock()
-		recyclePayload(dl.pb)
-		return
-	}
-	w.inflight.Add(1)
-	w.seq++
-	dl.seq = w.seq
-	w.heapPush(dl)
-	// Only wake the engine when this frame became the new minimum (which
-	// includes the empty-heap case): later deadlines are already covered by
-	// the timer the engine armed, so the common in-order stream of frames
-	// costs no goroutine wakeups at all.
-	newMin := w.heap[0].seq == dl.seq
-	if !w.engineOn {
-		w.engineOn = true
-		go w.runDeliveries() //lint:goactor-ok the wall-mode delivery engine runs below the clock seam by design
-	}
-	w.dmu.Unlock()
-	if newMin {
-		select {
-		case w.wake <- struct{}{}:
-		default:
+	w.clk.AfterFunc(d, func() {
+		if w.closed.Load() {
+			recyclePayload(dl.pb)
+			return
 		}
-	}
+		w.deliver(dl)
+	})
 }
 
 // deliver hands one frame to its destination's handler and recycles the
@@ -442,100 +386,4 @@ func (w *World) deliver(dl delivery) {
 		h(dl.src, dl.port, dl.pb.b[:dl.size])
 	}
 	recyclePayload(dl.pb)
-}
-
-// runDeliveries is the delivery engine: a single goroutine draining the
-// timer heap in deadline order (submission order on ties). It replaces a
-// time.AfterFunc — and therefore a runtime timer and a wakeup goroutine —
-// per in-flight packet.
-func (w *World) runDeliveries() {
-	timer := time.NewTimer(time.Hour) //lint:wallclock-ok single wall timer backing the real-time delivery engine
-	defer timer.Stop()
-	for {
-		w.dmu.Lock()
-		if len(w.heap) == 0 {
-			closed := w.closed.Load()
-			w.dmu.Unlock()
-			if closed {
-				return
-			}
-			<-w.wake
-			continue
-		}
-		next := w.heap[0].when
-		if d := time.Until(next); d > 0 {
-			w.dmu.Unlock()
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(d)
-			select {
-			case <-timer.C:
-			case <-w.wake:
-			}
-			continue
-		}
-		dl := w.heapPop()
-		w.dmu.Unlock()
-		if !w.closed.Load() {
-			w.deliver(dl)
-		} else {
-			recyclePayload(dl.pb)
-		}
-		w.inflight.Done()
-	}
-}
-
-// heapPush inserts into the min-heap ordered by (when, seq). Hand-rolled
-// instead of container/heap so entries are not boxed through an interface.
-func (w *World) heapPush(dl delivery) {
-	h := append(w.heap, dl)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].less(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	w.heap = h
-}
-
-// heapPop removes and returns the minimum entry.
-func (w *World) heapPop() delivery {
-	h := w.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = delivery{} // release payload for the GC
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].less(h[small]) {
-			small = l
-		}
-		if r < len(h) && h[r].less(h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	w.heap = h
-	return top
-}
-
-func (d delivery) less(o delivery) bool {
-	if d.when.Equal(o.when) {
-		return d.seq < o.seq
-	}
-	return d.when.Before(o.when)
 }

@@ -6,12 +6,25 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"morpheus/internal/clock"
 )
+
+// virtualWorld builds an empty world on a fresh virtual clock. The test
+// goroutine creates the clock, so it holds the run token; cleanup closes
+// the world before stopping the clock.
+func virtualWorld(t *testing.T, seed int64) (*World, *clock.Virtual) {
+	t.Helper()
+	clk := clock.NewVirtual()
+	t.Cleanup(clk.Stop)
+	w := NewWorld(seed, clk)
+	t.Cleanup(func() { _ = w.Close() })
+	return w, clk
+}
 
 func newTestWorld(t *testing.T) *World {
 	t.Helper()
-	w := NewWorld(42)
-	t.Cleanup(func() { _ = w.Close() })
+	w, _ := virtualWorld(t, 42)
 	w.AddSegment(SegmentConfig{Name: "lan", NativeMulticast: true})
 	w.AddSegment(SegmentConfig{Name: "wlan", Wireless: true})
 	return w
@@ -122,8 +135,7 @@ func TestMulticastRequiresCapability(t *testing.T) {
 }
 
 func TestLossDropsButCountsTx(t *testing.T) {
-	w := NewWorld(7)
-	defer w.Close()
+	w, _ := virtualWorld(t, 7)
 	w.AddSegment(SegmentConfig{Name: "lossy", Loss: 1.0})
 	a, _ := w.AddNode(1, Fixed, "lossy")
 	b, _ := w.AddNode(2, Fixed, "lossy")
@@ -143,8 +155,7 @@ func TestLossDropsButCountsTx(t *testing.T) {
 }
 
 func TestPartialLossStatistics(t *testing.T) {
-	w := NewWorld(1)
-	defer w.Close()
+	w, _ := virtualWorld(t, 1)
 	w.AddSegment(SegmentConfig{Name: "flaky", Loss: 0.5})
 	a, _ := w.AddNode(1, Fixed, "flaky")
 	b, _ := w.AddNode(2, Fixed, "flaky")
@@ -238,27 +249,32 @@ func TestFixedNodeUnmetered(t *testing.T) {
 	}
 }
 
+// TestLatencyDelaysDelivery pins that a segment's latency puts the arrival
+// exactly that far along the virtual timeline: nothing at +29 ms, the
+// frame at +30 ms.
 func TestLatencyDelaysDelivery(t *testing.T) {
-	w := NewWorld(3)
-	defer w.Close()
+	w, clk := virtualWorld(t, 3)
 	w.AddSegment(SegmentConfig{Name: "slow", Latency: 30 * time.Millisecond})
 	a, _ := w.AddNode(1, Fixed, "slow")
 	b, _ := w.AddNode(2, Fixed, "slow")
-	done := make(chan time.Time, 1)
+	var arrivals []time.Time
 	b.Handle("p", func(src NodeID, port string, payload []byte) {
-		done <- time.Now()
+		arrivals = append(arrivals, clk.Now())
 	})
-	start := time.Now()
+	start := clk.Now()
 	if err := a.Send(2, "p", "data", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case at := <-done:
-		if d := at.Sub(start); d < 25*time.Millisecond {
-			t.Fatalf("delivered after %v, want >= ~30ms", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("never delivered")
+	clk.Sleep(29 * time.Millisecond)
+	if len(arrivals) != 0 {
+		t.Fatalf("delivered at +%v, before the 30ms latency", arrivals[0].Sub(start))
+	}
+	clk.Sleep(time.Second)
+	if len(arrivals) != 1 {
+		t.Fatalf("delivered %d times, want 1", len(arrivals))
+	}
+	if d := arrivals[0].Sub(start); d != 30*time.Millisecond {
+		t.Fatalf("delivered at +%v, want exactly +30ms", d)
 	}
 }
 
@@ -276,8 +292,11 @@ func TestCrossSegmentUnicast(t *testing.T) {
 	}
 }
 
+// TestWorldCloseStopsDeliveries pins Close's contract: a frame still in
+// flight when the world closes is never handed to its receiver, and later
+// sends fail.
 func TestWorldCloseStopsDeliveries(t *testing.T) {
-	w := NewWorld(9)
+	w, clk := virtualWorld(t, 9)
 	w.AddSegment(SegmentConfig{Name: "slow", Latency: 50 * time.Millisecond})
 	a, _ := w.AddNode(1, Fixed, "slow")
 	b, _ := w.AddNode(2, Fixed, "slow")
@@ -286,8 +305,11 @@ func TestWorldCloseStopsDeliveries(t *testing.T) {
 	if err := a.Send(2, "p", "data", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
-	time.Sleep(80 * time.Millisecond)
+	clk.Sleep(20 * time.Millisecond)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Sleep(80 * time.Millisecond)
 	if len(ib.list()) != 0 {
 		t.Fatal("delivery happened after Close")
 	}
@@ -315,7 +337,9 @@ func TestResetCounters(t *testing.T) {
 // once and tx/rx counters agree, for any interleaving of sends.
 func TestConservationProperty(t *testing.T) {
 	f := func(sends []uint8) bool {
-		w := NewWorld(11)
+		clk := clock.NewVirtual()
+		defer clk.Stop()
+		w := NewWorld(11, clk)
 		defer w.Close()
 		w.AddSegment(SegmentConfig{Name: "lan", NativeMulticast: true})
 		n1, _ := w.AddNode(1, Fixed, "lan")

@@ -104,15 +104,9 @@ const DefaultSendWindow = stack.DefaultSendWindow
 func WallClock() Clock { return clock.Wall() }
 
 // NewVirtualClock returns a deterministic virtual clock; see clock.Virtual
-// for the actor discipline it imposes. Pair it with NewWorldWithClock and
-// stop it once the run's results are harvested.
+// for the actor discipline it imposes. Pair it with NewWorld and stop it
+// once the run's results are harvested.
 func NewVirtualClock() *VirtualClock { return clock.NewVirtual() }
-
-// NewWorldWithClock creates a simulated network on an explicit time plane;
-// nodes started on it inherit the clock.
-func NewWorldWithClock(seed int64, clk Clock) *World {
-	return vnet.NewWorldWithClock(seed, clk)
-}
 
 // Device kinds.
 const (
@@ -130,8 +124,10 @@ const (
 // Config.Members; Node.Send and friends operate on it.
 const DefaultGroup = core.DefaultGroup
 
-// NewWorld creates a simulated network with a deterministic seed.
-func NewWorld(seed int64) *World { return vnet.NewWorld(seed) }
+// NewWorld creates a simulated network with a deterministic seed on the
+// virtual clock clk; nodes started on it inherit the clock. See DESIGN.md
+// ("Clock actors") for how a program's main drives such a world.
+func NewWorld(seed int64, clk *VirtualClock) *World { return vnet.NewWorld(seed, clk) }
 
 // Config assembles one Morpheus node.
 type Config struct {
@@ -157,9 +153,9 @@ type Config struct {
 	// Clock is the node's time plane: every timer-driven layer (scheduler
 	// timeouts, heartbeats and failure detection, NAK keepalives, context
 	// sampling, policy ticks) runs on it. Nil defaults to the endpoint's
-	// clock when the substrate has one (a vnet world built with
-	// NewWorldWithClock — so nodes on a virtual-clock world virtualize
-	// automatically), and to the wall clock otherwise.
+	// clock when the substrate has one (a vnet world's virtual clock — so
+	// nodes on a vnet world virtualize automatically), and to the wall
+	// clock otherwise.
 	Clock Clock
 	// Members is the bootstrap membership of the control group and of the
 	// default data group.

@@ -16,19 +16,21 @@ import (
 	"time"
 
 	"morpheus/internal/appia/appiaxml"
+	"morpheus/internal/clock"
 	"morpheus/internal/core"
 	"morpheus/internal/group"
 	"morpheus/internal/netio"
 	"morpheus/internal/netio/loopnet"
 	"morpheus/internal/netio/udpnet"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // startTrio boots a three-node group on a fresh world with the given send
-// window.
-func startTrio(t *testing.T, seed int64, window int, onMsg func(from NodeID, payload []byte)) []*Node {
+// window; the caller holds the world clock's run token.
+func startTrio(t *testing.T, seed int64, window int, onMsg func(from NodeID, payload []byte)) ([]*Node, *clock.Virtual) {
 	t.Helper()
-	w := hybridWorld(t, seed)
+	w, clk := hybridWorld(t, seed)
 	members := []NodeID{1, 2, 3}
 	var nodes []*Node
 	for _, id := range members {
@@ -43,6 +45,29 @@ func startTrio(t *testing.T, seed int64, window int, onMsg func(from NodeID, pay
 		t.Cleanup(func() { _ = n.Close() })
 		nodes = append(nodes, n)
 	}
+	return nodes, clk
+}
+
+// startLoopnetTrio boots a three-node group over loopnet on the wall
+// clock, for tests whose point is real concurrency or wall-time contexts.
+func startLoopnetTrio(t *testing.T, window int) []*Node {
+	t.Helper()
+	nw := loopnet.New()
+	t.Cleanup(func() { _ = nw.Close() })
+	members := []NodeID{1, 2, 3}
+	var nodes []*Node
+	for _, id := range members {
+		ep, err := nw.Attach(netio.EndpointConfig{ID: id, Kind: netio.Fixed, Segments: []string{"lan"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := Start(Config{Endpoint: ep, Members: members, SendWindow: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		nodes = append(nodes, n)
+	}
 	return nodes
 }
 
@@ -50,7 +75,7 @@ func startTrio(t *testing.T, seed int64, window int, onMsg func(from NodeID, pay
 // asserts the non-blocking mode reports ErrWindowFull instead of waiting,
 // then drains and sends again.
 func TestTrySendBackpressure(t *testing.T) {
-	nodes := startTrio(t, 41, 4, nil)
+	nodes, clk := startTrio(t, 41, 4, nil)
 	g := nodes[0].Group(DefaultGroup)
 	// Burst past the window: with stability gossip running the credits
 	// drain, so only the instantaneous rejection is asserted, not a count.
@@ -69,7 +94,7 @@ func TestTrySendBackpressure(t *testing.T) {
 		t.Fatal("64 un-paced TrySends through a 4-credit window never saw ErrWindowFull")
 	}
 	// Backpressure is transient: stability returns the credits.
-	eventually(t, 10*time.Second, "window drains", func() bool {
+	vnettest.Eventually(t, clk, 10*time.Second, "window drains", func() bool {
 		return g.FlowStats().Window.InUse == 0
 	})
 	if err := g.TrySend([]byte("after-drain")); err != nil {
@@ -82,9 +107,10 @@ func TestTrySendBackpressure(t *testing.T) {
 }
 
 // TestSendContextUnblocks: a context-bounded send parked on a full window
-// returns the context's error instead of blocking forever.
+// returns the context's error instead of blocking forever. A context
+// deadline is wall time, so the trio runs on loopnet.
 func TestSendContextUnblocks(t *testing.T) {
-	nodes := startTrio(t, 42, 2, nil)
+	nodes := startLoopnetTrio(t, 2)
 	g := nodes[0].Group(DefaultGroup)
 	// Saturate. (Credits trickle back via stability, hence TrySend in a
 	// loop rather than exactly-capacity sends.)
@@ -100,9 +126,13 @@ func TestSendContextUnblocks(t *testing.T) {
 		t.Fatalf("err = %v, want nil or DeadlineExceeded", err)
 	}
 	// And an unconstrained context send succeeds once credits return.
-	eventually(t, 10*time.Second, "credits return", func() bool {
-		return g.FlowStats().Window.InUse < 2
-	})
+	deadline := time.Now().Add(10 * time.Second)
+	for g.FlowStats().Window.InUse >= 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("credits never returned")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if err := g.SendContext(context.Background(), []byte("after")); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +144,7 @@ func TestSendContextUnblocks(t *testing.T) {
 // same stability watermark that frees message credits returns the bytes,
 // and at quiescence every acquired byte has been released.
 func TestByteWindowBackpressure(t *testing.T) {
-	w := hybridWorld(t, 46)
+	w, clk := hybridWorld(t, 46)
 	members := []NodeID{1, 2, 3}
 	var nodes []*Node
 	for _, id := range members {
@@ -149,13 +179,13 @@ func TestByteWindowBackpressure(t *testing.T) {
 		t.Fatal("64 un-paced 100-byte TrySends through a 256-byte window never saw ErrWindowFull")
 	}
 	// Stability returns the bytes, exactly as many as were taken.
-	eventually(t, 10*time.Second, "byte window drains", func() bool {
+	vnettest.Eventually(t, clk, 10*time.Second, "byte window drains", func() bool {
 		return g.FlowStats().WindowBytes.InUse == 0
 	})
 	if err := g.TrySend(payload); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, 10*time.Second, "final cast's bytes return", func() bool {
+	vnettest.Eventually(t, clk, 10*time.Second, "final cast's bytes return", func() bool {
 		return g.FlowStats().WindowBytes.InUse == 0
 	})
 	st := g.FlowStats()
@@ -178,9 +208,10 @@ func TestByteWindowBackpressure(t *testing.T) {
 // TestSendAfterLeaveAndClose is the satellite regression: sends after
 // Leave or node Close return ErrGroupClosed deterministically, and sends
 // RACING the teardown either complete or return ErrGroupClosed — they are
-// never silently buffered into a dead group.
+// never silently buffered into a dead group. The race is real concurrency,
+// so the trio runs on loopnet.
 func TestSendAfterLeaveAndClose(t *testing.T) {
-	nodes := startTrio(t, 43, 0, nil)
+	nodes := startLoopnetTrio(t, 0)
 
 	// Extra group to exercise Leave separately from node Close.
 	var aux []*Group
@@ -253,7 +284,7 @@ func TestSendAfterLeaveAndClose(t *testing.T) {
 // double-released: at quiescence every acquire has exactly one release
 // and the window is empty. Runs under -race in short mode.
 func TestWindowCreditAccountingAcrossReconfig(t *testing.T) {
-	w := hybridWorld(t, 44)
+	w, clk := hybridWorld(t, 44)
 	members := []NodeID{1, 2, 10}
 	kinds := map[NodeID]Kind{1: Fixed, 2: Fixed, 10: Mobile}
 	var delivered atomic.Int64
@@ -286,13 +317,13 @@ func TestWindowCreditAccountingAcrossReconfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eventually(t, 30*time.Second, "reconfigured to mecho under load", func() bool {
+	vnettest.Eventually(t, clk, 30*time.Second, "reconfigured to mecho under load", func() bool {
 		return nodes[10].ConfigName() == core.MechoConfigName(1)
 	})
-	eventually(t, 30*time.Second, "observer delivers the flood", func() bool {
+	vnettest.Eventually(t, clk, 30*time.Second, "observer delivers the flood", func() bool {
 		return delivered.Load() >= msgs
 	})
-	eventually(t, 30*time.Second, "credits all return", func() bool {
+	vnettest.Eventually(t, clk, 30*time.Second, "credits all return", func() bool {
 		st := mob.FlowStats()
 		return st.Window.InUse == 0 && st.BufferedSends == 0
 	})
@@ -316,7 +347,7 @@ func TestWindowCreditAccountingAcrossReconfig(t *testing.T) {
 // buffers) is rejected at the facade and at the XML layer factory unless
 // the explicit UnboundedBuffers opt-in is set.
 func TestUnboundedNakConfigRejected(t *testing.T) {
-	w := hybridWorld(t, 45)
+	w, _ := hybridWorld(t, 45)
 	_, err := Start(Config{
 		World: w, ID: 1, Kind: Fixed, Members: []NodeID{1},
 		StableInterval: -1,
@@ -358,8 +389,7 @@ func TestUnboundedNakConfigRejected(t *testing.T) {
 func TestGroupEndpointAccountingParity(t *testing.T) {
 	backends := map[string]func(t *testing.T) (a, b netio.Endpoint){
 		"vnet": func(t *testing.T) (netio.Endpoint, netio.Endpoint) {
-			w := vnet.NewWorld(7)
-			t.Cleanup(func() { _ = w.Close() })
+			w, _ := vnettest.World(t, 7)
 			w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 			a, err := w.Attach(netio.EndpointConfig{ID: 1, Kind: netio.Fixed, Segments: []string{"lan"}})
 			if err != nil {

@@ -12,6 +12,7 @@ import (
 	"morpheus/internal/netio/loopnet"
 	"morpheus/internal/netio/udpnet"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // deliveries gathers delivered payloads thread-safely, keyed by payload.
@@ -60,25 +61,39 @@ func (d *deliveries) dups() []string {
 	return out
 }
 
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+// waitFor polls cond through clk until it holds, failing the test once d
+// has passed on that clock: virtual time for a vnet world, real time for
+// loopnet and udpnet.
+func waitFor(t *testing.T, clk morpheus.Clock, d time.Duration, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	deadline := clk.Now().Add(d)
+	for clk.Now().Before(deadline) {
 		if cond() {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		clk.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("condition never held: %s", what)
 }
 
-// joinViaScenario drives the tentpole end to end on an arbitrary substrate:
+// virtualLAN builds a one-segment world on a fresh virtual clock; the test
+// goroutine holds the clock's run token. Cleanups close every node first
+// (register them later), then the world, then stop the clock.
+func virtualLAN(t *testing.T, seed int64) (*vnet.World, *morpheus.VirtualClock) {
+	t.Helper()
+	w, clk := vnettest.World(t, seed)
+	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
+	return w, clk
+}
+
+// joinViaScenario drives the late join end to end on an arbitrary substrate:
 // a trio bootstraps the default group and exchanges pre-join traffic, then a
 // fourth node that took no part in the bootstrap enters the *running* group
 // through one seed member. The joiner must start gap-free at the
 // state-transfer frontier: it delivers every post-join cast, none of the
 // pre-join history, and its own casts reach everyone.
-func joinViaScenario(t *testing.T, attach func(id morpheus.NodeID) morpheus.Endpoint) {
+// Its waits go through clk, the substrate's clock.
+func joinViaScenario(t *testing.T, clk morpheus.Clock, attach func(id morpheus.NodeID) morpheus.Endpoint) {
 	t.Helper()
 	trio := []morpheus.NodeID{1, 2, 3}
 	const late = morpheus.NodeID(9)
@@ -117,7 +132,7 @@ func joinViaScenario(t *testing.T, attach func(id morpheus.NodeID) morpheus.Endp
 	}
 	for _, id := range trio {
 		id := id
-		waitFor(t, 10*time.Second, fmt.Sprintf("node %d delivers pre-join traffic", id), func() bool {
+		waitFor(t, clk, 10*time.Second, fmt.Sprintf("node %d delivers pre-join traffic", id), func() bool {
 			return cols[id].count() >= len(trio)*pre
 		})
 	}
@@ -166,7 +181,7 @@ func joinViaScenario(t *testing.T, attach func(id morpheus.NodeID) morpheus.Endp
 	wantPost := (len(trio) + 1) * post
 	for id, col := range cols {
 		id, col := id, col
-		waitFor(t, 15*time.Second, fmt.Sprintf("node %d delivers post-join traffic", id), func() bool {
+		waitFor(t, clk, 15*time.Second, fmt.Sprintf("node %d delivers post-join traffic", id), func() bool {
 			return col.countPrefix("post:") >= wantPost
 		})
 	}
@@ -183,13 +198,11 @@ func joinViaScenario(t *testing.T, attach func(id morpheus.NodeID) morpheus.Endp
 	}
 }
 
-// TestJoinViaRunningGroupVnet is the tentpole scenario on the simulated
-// substrate.
+// TestJoinViaRunningGroupVnet is the late-join scenario on the simulated
+// substrate, on virtual time.
 func TestJoinViaRunningGroupVnet(t *testing.T) {
-	w := vnet.NewWorld(41)
-	t.Cleanup(func() { _ = w.Close() })
-	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
-	joinViaScenario(t, func(id morpheus.NodeID) morpheus.Endpoint {
+	w, clk := virtualLAN(t, 41)
+	joinViaScenario(t, clk, func(id morpheus.NodeID) morpheus.Endpoint {
 		ep, err := w.AddNode(id, vnet.Fixed, "lan")
 		if err != nil {
 			t.Fatalf("add node %d: %v", id, err)
@@ -203,7 +216,7 @@ func TestJoinViaRunningGroupVnet(t *testing.T) {
 func TestJoinViaRunningGroupLoopnet(t *testing.T) {
 	nw := loopnet.New()
 	t.Cleanup(func() { _ = nw.Close() })
-	joinViaScenario(t, func(id morpheus.NodeID) morpheus.Endpoint {
+	joinViaScenario(t, morpheus.WallClock(), func(id morpheus.NodeID) morpheus.Endpoint {
 		ep, err := nw.Attach(netio.EndpointConfig{ID: id, Kind: netio.Fixed, Segments: []string{"lan"}})
 		if err != nil {
 			t.Fatalf("attach %d: %v", id, err)
@@ -224,7 +237,7 @@ func TestJoinViaRunningGroupUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = nw.Close() })
-	joinViaScenario(t, func(id morpheus.NodeID) morpheus.Endpoint {
+	joinViaScenario(t, morpheus.WallClock(), func(id morpheus.NodeID) morpheus.Endpoint {
 		ep, err := nw.Attach(netio.EndpointConfig{ID: id, Kind: netio.Fixed, Segments: []string{"lan"}})
 		if err != nil {
 			t.Fatalf("attach %d: %v", id, err)
@@ -245,7 +258,7 @@ func TestJoinViaRunningGroupUDP(t *testing.T) {
 func TestLeaveReleasesSendWindow(t *testing.T) {
 	clk := morpheus.NewVirtualClock()
 	defer clk.Stop()
-	w := morpheus.NewWorldWithClock(43, clk)
+	w := morpheus.NewWorld(43, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 
@@ -375,9 +388,7 @@ func TestLeaveReleasesSendWindow(t *testing.T) {
 // re-bootstrapping an epoch-1 singleton that would collide with the
 // survivors' advanced sequence spaces.
 func TestRejoinAfterLeave(t *testing.T) {
-	w := vnet.NewWorld(47)
-	t.Cleanup(func() { _ = w.Close() })
-	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
+	w, clk := virtualLAN(t, 47)
 	members := []morpheus.NodeID{1, 2, 3}
 	cols := make(map[morpheus.NodeID]*deliveries)
 	nodes := make(map[morpheus.NodeID]*morpheus.Node)
@@ -413,7 +424,7 @@ func TestRejoinAfterLeave(t *testing.T) {
 	}
 	for _, id := range members {
 		id := id
-		waitFor(t, 10*time.Second, fmt.Sprintf("node %d delivers phase 1", id), func() bool {
+		waitFor(t, clk, 10*time.Second, fmt.Sprintf("node %d delivers phase 1", id), func() bool {
 			return cols[id].countPrefix("p1:") >= len(members)*phase1
 		})
 	}
@@ -435,7 +446,7 @@ func TestRejoinAfterLeave(t *testing.T) {
 	}
 	for _, id := range []morpheus.NodeID{1, 2} {
 		id := id
-		waitFor(t, 10*time.Second, fmt.Sprintf("survivor %d delivers phase 2", id), func() bool {
+		waitFor(t, clk, 10*time.Second, fmt.Sprintf("survivor %d delivers phase 2", id), func() bool {
 			return cols[id].countPrefix("p2:") >= 2*phase2
 		})
 	}
@@ -464,12 +475,12 @@ func TestRejoinAfterLeave(t *testing.T) {
 		}
 	}
 	wantP3 := 3 * phase3
-	waitFor(t, 15*time.Second, "rejoined node delivers phase 3", func() bool {
+	waitFor(t, clk, 15*time.Second, "rejoined node delivers phase 3", func() bool {
 		return rejoinCol.countPrefix("p3:") >= wantP3
 	})
 	for _, id := range []morpheus.NodeID{1, 2} {
 		id := id
-		waitFor(t, 15*time.Second, fmt.Sprintf("survivor %d delivers phase 3", id), func() bool {
+		waitFor(t, clk, 15*time.Second, fmt.Sprintf("survivor %d delivers phase 3", id), func() bool {
 			return cols[id].countPrefix("p3:") >= wantP3
 		})
 	}

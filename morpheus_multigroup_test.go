@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"morpheus/internal/core"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // groupCollector records one group's deliveries at one node and checks the
@@ -77,7 +78,7 @@ func (c *groupCollector) leaked() []string {
 // lost, and after the dust settles the mobile's per-group transmission
 // cost matches each group's deployed stack.
 func TestMultiGroupStress(t *testing.T) {
-	w := hybridWorld(t, 21)
+	w, clk := hybridWorld(t, 21)
 	members := []NodeID{1, 2, 3, 100}
 	kinds := map[NodeID]Kind{1: Fixed, 2: Fixed, 3: Fixed, 100: Mobile}
 	groupNames := []string{"alpha", "beta", "gamma", "delta"}
@@ -131,12 +132,14 @@ func TestMultiGroupStress(t *testing.T) {
 	// Phase 1 — stress: two senders fire into all four groups concurrently
 	// while alpha and beta adapt underneath the traffic.
 	const perSender = 40
-	var wg sync.WaitGroup
+	var dones []chan struct{}
 	for _, sender := range []NodeID{2, 100} {
 		for _, gname := range groupNames {
-			wg.Add(1)
-			go func(sender NodeID, gname string) {
-				defer wg.Done()
+			sender, gname := sender, gname
+			done := make(chan struct{})
+			dones = append(dones, done)
+			clk.Go(func() {
+				defer close(done)
 				g := groups[sender][gname]
 				for i := 0; i < perSender; i++ {
 					payload := fmt.Sprintf("g=%s;from=%d;n=%03d", gname, sender, i)
@@ -144,19 +147,21 @@ func TestMultiGroupStress(t *testing.T) {
 						t.Errorf("send %s from %d: %v", gname, sender, err)
 						return
 					}
-					time.Sleep(time.Millisecond)
+					clk.Sleep(time.Millisecond)
 				}
-			}(sender, gname)
+			})
 		}
 	}
-	wg.Wait()
+	for _, done := range dones {
+		clk.Wait(done)
+	}
 
 	// Both adaptive groups must have reconfigured to Mecho on every node —
 	// independently (each has its own epoch counter).
 	for _, gname := range []string{"alpha", "beta"} {
 		for _, id := range members {
 			g := groups[id][gname]
-			eventually(t, 20*time.Second, fmt.Sprintf("node %d group %s deploys mecho", id, gname), func() bool {
+			vnettest.Eventually(t, clk, 20*time.Second, fmt.Sprintf("node %d group %s deploys mecho", id, gname), func() bool {
 				return g.ConfigName() == core.MechoConfigName(1) && g.Epoch() >= 2
 			})
 		}
@@ -179,7 +184,7 @@ func TestMultiGroupStress(t *testing.T) {
 	for _, id := range members {
 		for _, gname := range groupNames {
 			col := cols[id][gname]
-			eventually(t, 20*time.Second, fmt.Sprintf("node %d group %s delivers %d", id, gname, total), func() bool {
+			vnettest.Eventually(t, clk, 20*time.Second, fmt.Sprintf("node %d group %s delivers %d", id, gname, total), func() bool {
 				return col.count() >= total
 			})
 			if msg, ok := col.exactlyOnce(); !ok {
@@ -210,7 +215,7 @@ func TestMultiGroupStress(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		eventually(t, 10*time.Second, fmt.Sprintf("group %s phase-2 deliveries", gname), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("group %s phase-2 deliveries", gname), func() bool {
 			return cols[1][gname].count() >= before+k
 		})
 		tx := groups[100][gname].Counters().Tx[ClassData].Msgs

@@ -76,7 +76,7 @@ func runPooledStress(t *testing.T, seed int64, groupsN, workers int) string {
 	)
 	clk := morpheus.NewVirtualClock()
 	defer clk.Stop()
-	w := morpheus.NewWorldWithClock(seed, clk)
+	w := morpheus.NewWorld(seed, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 

@@ -6,10 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"morpheus/internal/appia"
+	"morpheus/internal/clock"
 	"morpheus/internal/cocaditem"
 	"morpheus/internal/core"
 	"morpheus/internal/vnet"
+	"morpheus/internal/vnet/vnettest"
 )
 
 // collector gathers delivered payloads thread-safely.
@@ -32,40 +33,27 @@ func (c *collector) list() []string {
 	return cp
 }
 
-func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("condition never held: %s", what)
-}
-
 // hybridWorld builds the paper's testbed: a wired LAN and a wireless cell.
-func hybridWorld(t *testing.T, seed int64) *vnet.World {
+func hybridWorld(t *testing.T, seed int64) (*vnet.World, *clock.Virtual) {
 	t.Helper()
-	w := vnet.NewWorld(seed)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, seed)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 	w.AddSegment(vnet.SegmentConfig{Name: "wlan", Wireless: true})
-	return w
+	return w, clk
 }
 
 func TestNodeStartValidation(t *testing.T) {
 	if _, err := Start(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	w := hybridWorld(t, 1)
+	w, _ := hybridWorld(t, 1)
 	if _, err := Start(Config{World: w}); err != ErrNoMembers {
 		t.Fatalf("err = %v, want ErrNoMembers", err)
 	}
 }
 
 func TestPlainGroupMessaging(t *testing.T) {
-	w := hybridWorld(t, 2)
+	w, clk := hybridWorld(t, 2)
 	members := []NodeID{1, 2, 3}
 	var cols [3]collector
 	var nodes []*Node
@@ -89,7 +77,7 @@ func TestPlainGroupMessaging(t *testing.T) {
 	}
 	for i := range cols {
 		i := i
-		eventually(t, 5*time.Second, fmt.Sprintf("node %d delivers both", i+1), func() bool {
+		vnettest.Eventually(t, clk, 5*time.Second, fmt.Sprintf("node %d delivers both", i+1), func() bool {
 			return len(cols[i].list()) == 2
 		})
 	}
@@ -104,7 +92,7 @@ func TestPlainGroupMessaging(t *testing.T) {
 // from the plain fan-out stack to Mecho, after which the mobile sends one
 // unicast per multicast.
 func TestHybridAdaptationDeploysMecho(t *testing.T) {
-	w := hybridWorld(t, 3)
+	w, clk := hybridWorld(t, 3)
 	members := []NodeID{1, 2, 10}
 	var reconfigured sync.Map
 	var cols [3]collector
@@ -135,7 +123,7 @@ func TestHybridAdaptationDeploysMecho(t *testing.T) {
 	// Mecho with a fixed relay on every node.
 	for _, n := range []*Node{n1, n2, mob} {
 		n := n
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d deploys mecho", n.ID()), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d deploys mecho", n.ID()), func() bool {
 			return n.ConfigName() == core.MechoConfigName(1) && n.Epoch() >= 2
 		})
 	}
@@ -150,7 +138,7 @@ func TestHybridAdaptationDeploysMecho(t *testing.T) {
 	}
 	for i := range cols {
 		i := i
-		eventually(t, 10*time.Second, fmt.Sprintf("node %d delivers %d post-adaptation", i, k), func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, fmt.Sprintf("node %d delivers %d post-adaptation", i, k), func() bool {
 			return len(cols[i].list()) >= k
 		})
 	}
@@ -163,7 +151,7 @@ func TestHybridAdaptationDeploysMecho(t *testing.T) {
 // TestMessagesSurviveReconfiguration checks the transparency promise:
 // payloads sent while the stack is being replaced are buffered and arrive.
 func TestMessagesSurviveReconfiguration(t *testing.T) {
-	w := hybridWorld(t, 4)
+	w, clk := hybridWorld(t, 4)
 	members := []NodeID{1, 2, 10}
 	var cols [3]collector
 	var nodes []*Node
@@ -189,14 +177,14 @@ func TestMessagesSurviveReconfiguration(t *testing.T) {
 		if err := nodes[0].Send([]byte(fmt.Sprintf("c%03d", i))); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		clk.Sleep(5 * time.Millisecond)
 	}
-	eventually(t, 15*time.Second, "reconfiguration happened", func() bool {
+	vnettest.Eventually(t, clk, 15*time.Second, "reconfiguration happened", func() bool {
 		return nodes[0].Epoch() >= 2
 	})
 	for i := range cols {
 		i := i
-		eventually(t, 15*time.Second, fmt.Sprintf("node %d delivered all %d across reconfig", i, k), func() bool {
+		vnettest.Eventually(t, clk, 15*time.Second, fmt.Sprintf("node %d delivered all %d across reconfig", i, k), func() bool {
 			return len(cols[i].list()) >= k
 		})
 	}
@@ -205,8 +193,7 @@ func TestMessagesSurviveReconfiguration(t *testing.T) {
 // TestErrorRecoveryPolicySwitchesToFEC drives the §2 motivation end to end:
 // rising measured loss flips the group from ARQ to FEC.
 func TestErrorRecoveryPolicySwitchesToFEC(t *testing.T) {
-	w := vnet.NewWorld(5)
-	t.Cleanup(func() { _ = w.Close() })
+	w, clk := vnettest.World(t, 5)
 	w.AddSegment(vnet.SegmentConfig{Name: "lan"})
 	members := []NodeID{1, 2}
 
@@ -246,7 +233,7 @@ func TestErrorRecoveryPolicySwitchesToFEC(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	// Low loss: stays ARQ.
-	time.Sleep(300 * time.Millisecond)
+	clk.Sleep(300 * time.Millisecond)
 	if got := nodes[0].ConfigName(); got != core.ArqConfigName {
 		t.Fatalf("low loss config = %q", got)
 	}
@@ -254,7 +241,7 @@ func TestErrorRecoveryPolicySwitchesToFEC(t *testing.T) {
 	setLoss(0.15)
 	for _, n := range nodes {
 		n := n
-		eventually(t, 10*time.Second, "switch to fec", func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, "switch to fec", func() bool {
 			return n.ConfigName() == core.FecConfigName
 		})
 	}
@@ -262,14 +249,14 @@ func TestErrorRecoveryPolicySwitchesToFEC(t *testing.T) {
 	setLoss(0.0)
 	for _, n := range nodes {
 		n := n
-		eventually(t, 10*time.Second, "switch back to arq", func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, "switch back to arq", func() bool {
 			return n.ConfigName() == core.ArqConfigName
 		})
 	}
 }
 
 func TestContextDissemination(t *testing.T) {
-	w := hybridWorld(t, 6)
+	w, clk := hybridWorld(t, 6)
 	members := []NodeID{1, 10}
 	n1, err := Start(Config{
 		World: w, ID: 1, Kind: Fixed, Members: members,
@@ -291,27 +278,25 @@ func TestContextDissemination(t *testing.T) {
 
 	// Node 1 must learn, through Cocaditem, that node 10 is mobile and
 	// what its battery level is.
-	eventually(t, 5*time.Second, "remote device class disseminated", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "remote device class disseminated", func() bool {
 		sm, ok := n1.Context().Latest(cocaditem.TopicDeviceClass, 10)
 		return ok && sm.Str == "mobile"
 	})
-	eventually(t, 5*time.Second, "remote battery disseminated", func() bool {
+	vnettest.Eventually(t, clk, 5*time.Second, "remote battery disseminated", func() bool {
 		sm, ok := n1.Context().Latest(cocaditem.TopicBattery, 10)
 		return ok && sm.Num > 0.9
 	})
 	// Subscription API delivers matching samples.
-	got := make(chan Sample, 1)
+	got := make(chan struct{}, 1)
 	n1.Context().Subscribe(cocaditem.TopicBattery, func(s Sample) {
 		if s.Node == 10 {
 			select {
-			case got <- s:
+			case got <- struct{}{}:
 			default:
 			}
 		}
 	})
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
+	if !clk.WaitTimeout(got, 5*time.Second) {
 		t.Fatal("subscriber never notified")
 	}
 }
@@ -319,7 +304,7 @@ func TestContextDissemination(t *testing.T) {
 // TestControlChannelSurvivesMemberCrash: the control group evicts a dead
 // node and adaptation continues among survivors.
 func TestControlChannelSurvivesMemberCrash(t *testing.T) {
-	w := hybridWorld(t, 7)
+	w, clk := hybridWorld(t, 7)
 	members := []NodeID{1, 2, 3}
 	var nodes []*Node
 	for _, id := range members {
@@ -334,7 +319,7 @@ func TestControlChannelSurvivesMemberCrash(t *testing.T) {
 		t.Cleanup(func() { _ = n.Close() })
 		nodes = append(nodes, n)
 	}
-	time.Sleep(200 * time.Millisecond)
+	clk.Sleep(200 * time.Millisecond)
 	nodes[2].VNode().SetDown(true)
 	// Survivors keep messaging.
 	var delivered int
@@ -352,9 +337,7 @@ func TestControlChannelSurvivesMemberCrash(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
+	if !clk.WaitTimeout(done, 10*time.Second) {
 		t.Fatal("context flow stopped after member crash")
 	}
 }
@@ -366,7 +349,7 @@ func TestControlChannelSurvivesMemberCrash(t *testing.T) {
 // group redeploys Mecho with the next fixed node as relay — with the
 // crashed node's stale data channel flushed around it.
 func TestRelayCrashFailsOver(t *testing.T) {
-	w := hybridWorld(t, 11)
+	w, clk := hybridWorld(t, 11)
 	members := []NodeID{1, 2, 10}
 	kinds := map[NodeID]Kind{1: Fixed, 2: Fixed, 10: Mobile}
 	var cols [3]collector
@@ -392,7 +375,7 @@ func TestRelayCrashFailsOver(t *testing.T) {
 	// Phase 1: adaptation picks node 1 as relay.
 	for _, n := range nodes {
 		n := n
-		eventually(t, 10*time.Second, "initial mecho", func() bool {
+		vnettest.Eventually(t, clk, 10*time.Second, "initial mecho", func() bool {
 			return n.ConfigName() == core.MechoConfigName(1)
 		})
 	}
@@ -400,7 +383,7 @@ func TestRelayCrashFailsOver(t *testing.T) {
 	nodes[1].VNode().SetDown(true)
 	for _, id := range []NodeID{2, 10} {
 		n := nodes[id]
-		eventually(t, 20*time.Second, fmt.Sprintf("node %d fails over to relay 2", id), func() bool {
+		vnettest.Eventually(t, clk, 20*time.Second, fmt.Sprintf("node %d fails over to relay 2", id), func() bool {
 			return n.ConfigName() == core.MechoConfigName(2)
 		})
 	}
@@ -415,7 +398,7 @@ func TestRelayCrashFailsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eventually(t, 10*time.Second, "survivor delivers post-failover casts", func() bool {
+	vnettest.Eventually(t, clk, 10*time.Second, "survivor delivers post-failover casts", func() bool {
 		return len(cols[1].list()) >= before2+k
 	})
 	if tx := mob.VNode().Counters().Tx[ClassData].Msgs; tx != k {
@@ -424,7 +407,7 @@ func TestRelayCrashFailsOver(t *testing.T) {
 }
 
 func TestNodeAccessors(t *testing.T) {
-	w := hybridWorld(t, 8)
+	w, _ := hybridWorld(t, 8)
 	n, err := Start(Config{World: w, ID: 1, Kind: Fixed, Members: []NodeID{1}})
 	if err != nil {
 		t.Fatal(err)
@@ -443,6 +426,3 @@ func TestNodeAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Silence unused-import guard for appia in future edits.
-var _ = appia.NoNode

@@ -43,7 +43,7 @@ func runVirtualStress(t *testing.T, seed int64) string {
 	)
 	clk := morpheus.NewVirtualClock()
 	defer clk.Stop()
-	w := morpheus.NewWorldWithClock(seed, clk)
+	w := morpheus.NewWorld(seed, clk)
 	defer w.Close()
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
 

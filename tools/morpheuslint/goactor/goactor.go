@@ -11,9 +11,8 @@
 // channels (e.g. flowctl's context-merge helper) are fine and are not
 // flagged: the analyzer only fires when the spawned body visibly touches
 // clock state. The infrastructure that *implements* the actor protocol
-// (the scheduler drain loop, the pool's workers, the vnet wall engine)
-// annotates its spawns with //lint:goactor-ok and the reason it is
-// allowed to sit below the seam.
+// (the scheduler drain loop, the pool's workers) annotates its spawns with
+// //lint:goactor-ok and the reason it is allowed to sit below the seam.
 package goactor
 
 import (
@@ -23,9 +22,10 @@ import (
 	"morpheus/tools/morpheuslint/analysis"
 )
 
-// scopePrefixes: packages threaded through the virtual clock. The clock
-// package itself is the owner of the protocol and is exempt; netio and
-// liverun are the wall-only live plane.
+// scopePrefixes: packages threaded through the virtual clock, and the
+// programs whose main is a virtual-clock actor (the vnet examples and
+// morpheus-chat). The clock package itself is the owner of the protocol and
+// is exempt; netio, liverun and examples/live are the wall-only live plane.
 var scopePrefixes = []string{
 	"morpheus/internal/appia",
 	"morpheus/internal/group",
@@ -40,6 +40,13 @@ var scopePrefixes = []string{
 	"morpheus/internal/chaos",
 	"morpheus/internal/flowctl",
 	"morpheus/internal/vnet",
+	"morpheus/examples/quickstart",
+	"morpheus/examples/chat",
+	"morpheus/examples/energy",
+	"morpheus/examples/epidemic",
+	"morpheus/examples/adaptive-fec",
+	"morpheus/examples/xmlconfig",
+	"morpheus/cmd/morpheus-chat",
 }
 
 var Analyzer = &analysis.Analyzer{

@@ -5,9 +5,9 @@
 // time.AfterFunc in a protocol layer silently punches a wall-time hole in
 // the deterministic plane that only shows up — hours later — as a golden
 // hash flake. Legitimately wall-only sites (the wall Clock implementation
-// itself, the vnet wall-world delivery engine, live-plane commands and
-// demos) carry a //lint:wallclock-ok <reason> directive, which the driver
-// verifies is justified and still needed.
+// itself, live-plane commands and demos) carry a //lint:wallclock-ok
+// <reason> directive, which the driver verifies is justified and still
+// needed.
 package wallclock
 
 import (
