@@ -10,13 +10,22 @@ import (
 	"morpheus/internal/netio"
 )
 
+// rxEvent is one handler call of the deterministic scenario: when it ran,
+// as an offset on the virtual timeline, and which node sent to which.
+type rxEvent struct {
+	at       time.Duration
+	src, dst NodeID
+}
+
 // runDeterministicScenario drives a fixed op sequence — unicast and native
 // multicast over lossy, jittery segments — and returns the per-node counter
-// snapshots once all deliveries have settled on the virtual timeline.
-func runDeterministicScenario(t *testing.T, seed int64) map[NodeID]Counters {
+// snapshots once all deliveries have settled on the virtual timeline, along
+// with the ordered trace of those deliveries.
+func runDeterministicScenario(t *testing.T, seed int64) (map[NodeID]Counters, []rxEvent) {
 	t.Helper()
 	clk := clock.NewVirtual()
 	defer clk.Stop()
+	start := clk.Now()
 	w := NewWorld(seed, clk)
 	defer w.Close()
 	w.AddSegment(SegmentConfig{
@@ -31,14 +40,17 @@ func runDeterministicScenario(t *testing.T, seed int64) map[NodeID]Counters {
 	nodes := make([]*Node, 0, nNodes)
 	var mu sync.Mutex
 	rxSeen := 0
+	var trace []rxEvent
 	for i := 1; i <= nNodes; i++ {
-		n, err := w.AddNode(NodeID(i), Fixed, "lan")
+		dst := NodeID(i)
+		n, err := w.AddNode(dst, Fixed, "lan")
 		if err != nil {
 			t.Fatal(err)
 		}
 		n.Handle("p", func(src NodeID, port string, payload []byte) {
 			mu.Lock()
 			rxSeen++
+			trace = append(trace, rxEvent{at: clk.Now().Sub(start), src: src, dst: dst})
 			mu.Unlock()
 		})
 		nodes = append(nodes, n)
@@ -81,7 +93,9 @@ func runDeterministicScenario(t *testing.T, seed int64) map[NodeID]Counters {
 	for _, n := range nodes {
 		out[n.ID()] = n.Counters()
 	}
-	return out
+	mu.Lock()
+	defer mu.Unlock()
+	return out, trace
 }
 
 // TestWorldDeterministicReplay locks in the replay guarantee: identical
@@ -91,13 +105,13 @@ func runDeterministicScenario(t *testing.T, seed int64) map[NodeID]Counters {
 // timer heap, and the RNG sits behind its own lock while multicast fans
 // out in ascending node order.
 func TestWorldDeterministicReplay(t *testing.T) {
-	a := runDeterministicScenario(t, 7)
-	b := runDeterministicScenario(t, 7)
+	a, _ := runDeterministicScenario(t, 7)
+	b, _ := runDeterministicScenario(t, 7)
 	compareCounterMaps(t, a, b)
 
 	// A different seed must (for this scenario) draw differently somewhere;
 	// this guards against the RNG silently not being consulted at all.
-	c := runDeterministicScenario(t, 8)
+	c, _ := runDeterministicScenario(t, 8)
 	same := true
 	for id, ca := range a {
 		if c[id].TotalRx() != ca.TotalRx() {
@@ -107,6 +121,32 @@ func TestWorldDeterministicReplay(t *testing.T) {
 	}
 	if same {
 		t.Log("warning: seeds 7 and 8 produced identical rx totals; loss draws may not be exercised")
+	}
+}
+
+// TestWorldDeterministicReplayVirtual pins the timeline, not just the
+// totals: at equal seeds every delivery must run at the same virtual
+// instant, from the same sender to the same receiver, in the same order.
+// Jittered frames are delivered by the clock's timer heap, so a delay
+// drawn out of order or a timer fired off its deadline shows up here even
+// when the counters still agree.
+func TestWorldDeterministicReplayVirtual(t *testing.T) {
+	_, a := runDeterministicScenario(t, 7)
+	_, b := runDeterministicScenario(t, 7)
+	if len(a) == 0 {
+		t.Fatal("no deliveries; scenario too weak")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("%d vs %d deliveries across identical seeds", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("delivery %d = %+v vs %+v across identical seeds", i, a[i], b[i])
+		}
+	}
+	// Jitter must spread the deliveries over more than one instant.
+	if a[0].at == a[len(a)-1].at {
+		t.Fatalf("all %d deliveries ran at %v; jitter not exercised", len(a), a[0].at)
 	}
 }
 
